@@ -47,6 +47,7 @@ STATICCHECK_VERSION ?= 2025.1.1
 FUZZ_TARGETS = \
 	./internal/kary:FuzzSearchUint16 \
 	./internal/kary:FuzzInsertDelete \
+	./internal/kary:FuzzAppendUint64DF \
 	./internal/segtree:FuzzTreeOps \
 	./internal/segtrie:FuzzTrieOps \
 	./internal/simd:FuzzCompareKernels

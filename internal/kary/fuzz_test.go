@@ -1,6 +1,7 @@
 package kary
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -48,31 +49,77 @@ func FuzzSearchUint16(f *testing.F) {
 	})
 }
 
-// FuzzInsertDelete drives mutations from a fuzzed op stream against a map.
+// FuzzInsertDelete drives mutations from a fuzzed op stream against a map,
+// once per layout.
 func FuzzInsertDelete(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 130, 2, 4})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		tree := BuildUnchecked[uint8](nil, BreadthFirst)
-		ref := map[uint8]bool{}
-		for _, op := range ops {
-			k := op & 0x7F
-			if op&0x80 == 0 {
-				if tree.Insert(k) != !ref[k] {
-					t.Fatalf("insert %d", k)
+		for _, layout := range Layouts {
+			tree := BuildUnchecked[uint8](nil, layout)
+			ref := map[uint8]bool{}
+			for _, op := range ops {
+				k := op & 0x7F
+				if op&0x80 == 0 {
+					if tree.Insert(k) != !ref[k] {
+						t.Fatalf("%v insert %d", layout, k)
+					}
+					ref[k] = true
+				} else {
+					if tree.Delete(k) != ref[k] {
+						t.Fatalf("%v delete %d", layout, k)
+					}
+					delete(ref, k)
 				}
-				ref[k] = true
-			} else {
-				if tree.Delete(k) != ref[k] {
-					t.Fatalf("delete %d", k)
-				}
-				delete(ref, k)
+			}
+			if tree.Len() != len(ref) {
+				t.Fatalf("%v len %d want %d", layout, tree.Len(), len(ref))
+			}
+			if err := tree.Validate(); err != nil {
+				t.Fatalf("%v: %v", layout, err)
 			}
 		}
-		if tree.Len() != len(ref) {
-			t.Fatalf("len %d want %d", tree.Len(), len(ref))
+	})
+}
+
+// FuzzAppendUint64DF fills the default Seg-Tree node type (uint64,
+// depth-first) by ascending Insert, with the gaps between consecutive
+// keys taken from the fuzz input, and compares the result slot for slot
+// with Build over the same keys.
+func FuzzAppendUint64DF(f *testing.F) {
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
+	f.Add([]byte{128, 255, 7, 0, 0, 3, 128, 64, 2, 9, 1, 0, 0, 0, 200})
+	f.Fuzz(func(t *testing.T, gaps []byte) {
+		if len(gaps) == 0 {
+			return
+		}
+		// The first byte places the run; 128 starts it just below 2^63,
+		// so it crosses the sign-bit realignment of the unsigned lanes.
+		x := uint64(gaps[0])<<56 - 1<<16
+		var ks []uint64
+		for _, g := range gaps[1:] {
+			ks = append(ks, x)
+			next := x + uint64(g) + 1
+			if next < x {
+				break
+			}
+			x = next
+		}
+		tree := BuildUnchecked[uint64](nil, DepthFirst)
+		for _, k := range ks {
+			if !tree.Insert(k) {
+				t.Fatalf("insert %d reported duplicate", k)
+			}
 		}
 		if err := tree.Validate(); err != nil {
 			t.Fatal(err)
+		}
+		want := Build(ks, DepthFirst)
+		if !reflect.DeepEqual(tree.Linearized(), want.Linearized()) {
+			t.Fatalf("appended slots %v, build %v", tree.Linearized(), want.Linearized())
+		}
+		if tree.Stored() != want.Stored() || tree.Levels() != want.Levels() || tree.MemoryBytes() != want.MemoryBytes() {
+			t.Fatalf("stored/levels/bytes %d/%d/%d, build %d/%d/%d",
+				tree.Stored(), tree.Levels(), tree.MemoryBytes(), want.Stored(), want.Levels(), want.MemoryBytes())
 		}
 	})
 }

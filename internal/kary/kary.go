@@ -16,6 +16,12 @@
 // Algorithm 4's uniform subtree strides, replenishing interior holes and
 // truncating trailing pad-only nodes.
 //
+// Appending a new maximum (§3.2's continuous filling) moves no key: it
+// writes the key to its slot and refreshes only the pads that must equal
+// the new S_max. In the depth-first layout those pads are the separators
+// at or right of the descent in the nodes on the new key's root-to-slot
+// path — at most (k−1)·r slots, 10 for 64-bit keys.
+//
 // The search result is the paper's contract: the index, in the original
 // sorted order, of the first key strictly greater than the search key —
 // identical to what binary search on the sorted list returns, so a Seg-Tree
@@ -166,25 +172,14 @@ func BuildUnchecked[K keys.Key](sorted []K, layout Layout) *Tree[K] {
 	}
 
 	// Depth-first: perfect-tree positions with interior replenishment,
-	// truncated at the node boundary after the last real key.
-	last := 0
-	positions := make([]int, n)
-	for s := 0; s < n; s++ {
-		p := posDF(s, k, t.r)
-		positions[s] = p
-		if p > last {
-			last = p
-		}
-	}
-	lanes := k - 1
-	t.stored = (last/lanes + 1) * lanes
+	// truncated at the node boundary after the last real key. One in-order
+	// walk of the geometry writes the keys into their slots.
+	t.stored = storedDF(n, k, t.r)
 	t.data = make([]byte, t.stored*w)
 	for p := 0; p < t.stored; p++ {
 		keys.PutAt(t.data, p, t.smax)
 	}
-	for s, p := range positions {
-		keys.PutAt(t.data, p, sorted[s])
-	}
+	walkDF(k, t.r, n, func(s, slot int) { keys.PutAt(t.data, slot, sorted[s]) })
 	return t
 }
 
@@ -233,6 +228,10 @@ func (t *Tree[K]) At(s int) K {
 // Keys delinearizes the tree back into its sorted key list.
 func (t *Tree[K]) Keys() []K {
 	out := make([]K, t.n)
+	if t.layout == DepthFirst {
+		walkDF(int(t.k), t.r, t.n, func(s, slot int) { out[s] = keys.GetAt[K](t.data, slot) })
+		return out
+	}
 	for s := 0; s < t.n; s++ {
 		out[s] = keys.GetAt[K](t.data, t.pos(s))
 	}
@@ -247,7 +246,8 @@ func (t *Tree[K]) Linearized() []K {
 }
 
 // Validate checks the structural invariants: delinearized keys strictly
-// ascending, stored a multiple of k−1, maximum consistent.
+// ascending, stored a multiple of k−1, maximum consistent, and every slot
+// that holds no real key a pad equal to S_max (§3.3).
 func (t *Tree[K]) Validate() error {
 	k := keys.K[K]()
 	if t.w == 0 {
@@ -262,6 +262,9 @@ func (t *Tree[K]) Validate() error {
 	if t.stored%(k-1) != 0 {
 		return fmt.Errorf("kary: stored %d not a multiple of k-1=%d", t.stored, k-1)
 	}
+	if len(t.data) != t.stored*int(t.w) {
+		return fmt.Errorf("kary: %d data bytes for %d stored slots", len(t.data), t.stored)
+	}
 	ks := t.Keys()
 	if !sort.SliceIsSorted(ks, func(i, j int) bool { return ks[i] < ks[j] }) {
 		return fmt.Errorf("kary: delinearized keys not sorted")
@@ -273,6 +276,11 @@ func (t *Tree[K]) Validate() error {
 	}
 	if ks[len(ks)-1] != t.smax {
 		return fmt.Errorf("kary: smax mismatch")
+	}
+	for slot, real := range t.realSlots() {
+		if !real && keys.GetAt[K](t.data, slot) != t.smax {
+			return fmt.Errorf("kary: stale pad at slot %d", slot)
+		}
 	}
 	return nil
 }

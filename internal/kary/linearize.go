@@ -52,6 +52,50 @@ func posDF(s, k, r int) int {
 	}
 }
 
+// storedDF returns the truncated depth-first slot count of n ≥ 1 keys in
+// a perfect tree of r levels: the end of the last node holding a real key.
+// Descending by rank n−1, that node ends the subtree left of the separator
+// holding rank n−1 (the separator's own node when it is a leaf).
+func storedDF(n, k, r int) int {
+	pos := 0
+	rem := n - 1
+	childCap := pow(k, r) / k
+	for {
+		c := (rem + 1) / childCap
+		if (rem+1)%childCap == 0 {
+			return pos + (k - 1) + c*(childCap-1)
+		}
+		pos += (k - 1) + c*(childCap-1)
+		rem -= c * childCap
+		childCap /= k
+	}
+}
+
+// walkDF calls visit(s, slot) for the sorted positions s = 0 … n−1 in
+// ascending order, with slot the depth-first slot of s in a perfect tree
+// of r levels (Formula 2). It walks the geometry in order once, so a full
+// build or read costs one visit per key rather than one posDF per key.
+func walkDF(k, r, n int, visit func(s, slot int)) {
+	walkSubtreeDF(0, pow(k, r-1)-1, k, 0, n, visit)
+}
+
+// walkSubtreeDF visits the subtree whose root node starts at slot start
+// and whose children hold sub keys each, beginning at sorted position s;
+// it returns the next unvisited sorted position.
+func walkSubtreeDF(start, sub, k, s, n int, visit func(s, slot int)) int {
+	lanes := k - 1
+	for c := 0; c < k && s < n; c++ {
+		if sub > 0 {
+			s = walkSubtreeDF(start+lanes+c*sub, (sub-lanes)/k, k, s, n, visit)
+		}
+		if c < lanes && s < n {
+			visit(s, start+c)
+			s++
+		}
+	}
+	return s
+}
+
 // posComplete maps sorted position s to its breadth-first slot in a
 // complete k-ary tree of r levels with m last-level nodes: the upper r−1
 // levels form a perfect tree mapped by posBF, the last level is left-packed

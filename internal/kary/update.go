@@ -15,25 +15,28 @@ const padEvaluator = bitmask.Popcount
 // ascending keys takes the paper's fast path: the new key is copied
 // directly to its slot and no existing key moves, because the slot
 // transformation depends only on the node geometry (k, r, m), which is
-// unchanged while pad slots remain.
+// unchanged while pad slots remain. Besides the new key, an append
+// rewrites only the pads that must follow S_max (§3.3).
 
 // Insert adds x to the tree, reporting whether it was absent. Appending a
-// new maximum into free pad slots is O(k); any other insert rebuilds the
+// new maximum writes at most (k−1)·r slots; any other insert rebuilds the
 // linearized storage.
 func (t *Tree[K]) Insert(x K) bool {
-	if t.n > 0 {
-		if _, found := t.Lookup(x, padEvaluator); found {
-			return false
-		}
-	}
+	// A key above S_max cannot be present, so the append test runs first
+	// and only the rebuild path pays for the duplicate search.
 	if t.n > 0 && x > t.smax && levels(t.n+1, int(t.k)) == t.r {
-		if t.layout == BreadthFirst && t.n < t.stored {
-			t.appendBF(x)
-			return true
-		}
 		if t.layout == DepthFirst {
 			t.appendDF(x)
 			return true
+		}
+		if t.n < t.stored {
+			t.appendBF(x)
+			return true
+		}
+	}
+	if t.n > 0 {
+		if _, found := t.Lookup(x, padEvaluator); found {
+			return false
 		}
 	}
 	ks := t.Keys()
@@ -59,32 +62,56 @@ func (t *Tree[K]) appendBF(x K) {
 }
 
 // appendDF writes a new maximum into its fixed depth-first slot —
-// positions depend only on (k, r), so no existing key moves — growing the
-// truncated storage to the covering node boundary if needed, and
-// refreshing the pads (slots still holding copies of the old maximum).
+// positions depend only on (k, r), so no existing key moves. The only pads
+// inside the truncated storage are the separators at or right of the
+// descent in each node on the new key's root-to-slot path: every subtree
+// right of that path starts past the last real key. So the walk down that
+// path writes x into those separators, the new key's own slot included,
+// growing the storage to cover path nodes past its end.
 func (t *Tree[K]) appendDF(x K) {
 	k, lanes := int(t.k), int(t.lanes)
-	p := posDF(t.n, k, t.r)
-	if need := (p/lanes + 1) * lanes; need > t.stored {
-		grown := make([]byte, need*int(t.w))
-		copy(grown, t.data)
-		for s := t.stored; s < need; s++ {
-			keys.PutAt(grown, s, t.smax)
+	pos := 0
+	rem := t.n
+	childCap := pow(k, t.r) / k
+	for {
+		c := (rem + 1) / childCap
+		sep := (rem+1)%childCap == 0
+		if sep {
+			c-- // x lands on separator c of this node
 		}
-		t.data = grown
-		t.stored = need
-	}
-	// Every slot equal to the old maximum is a pad copy, except the slot
-	// of the real old maximum itself.
-	oldMaxSlot := posDF(t.n-1, k, t.r)
-	for s := 0; s < t.stored; s++ {
-		if s != oldMaxSlot && keys.GetAt[K](t.data, s) == t.smax {
-			keys.PutAt(t.data, s, x)
+		t.growDF(pos + lanes)
+		for i := c; i < lanes; i++ {
+			keys.PutAt(t.data, pos+i, x)
 		}
+		if sep {
+			break
+		}
+		pos += lanes + c*(childCap-1)
+		rem -= c * childCap
+		childCap /= k
 	}
-	keys.PutAt(t.data, p, x)
 	t.smax = x
 	t.n++
+}
+
+// growDF extends the depth-first storage to need slots. The backing array
+// grows geometrically, capped at the perfect-tree size k^r−1, so a run of
+// appends reallocates O(log) times; len(data) stays stored × width. The
+// caller overwrites every slot it adds.
+func (t *Tree[K]) growDF(need int) {
+	if need <= t.stored {
+		return
+	}
+	w := int(t.w)
+	if need*w > cap(t.data) {
+		c := max(2*cap(t.data), need*w)
+		c = min(c, (pow(int(t.k), t.r)-1)*w)
+		grown := make([]byte, len(t.data), c)
+		copy(grown, t.data)
+		t.data = grown
+	}
+	t.data = t.data[:need*w]
+	t.stored = need
 }
 
 // Delete removes x from the tree, reporting whether it was present. It

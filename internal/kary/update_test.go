@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"repro/internal/keys"
 )
 
 func TestInsertAscendingUsesFastPathAndStaysCorrect(t *testing.T) {
@@ -140,5 +142,80 @@ func TestInsertAscendingDepthFirstFastPath(t *testing.T) {
 		if k != uint32(i) {
 			t.Fatalf("index %d: %d", i, k)
 		}
+	}
+}
+
+// TestAppendMatchesBuild: an ascending append must leave exactly the
+// storage a fresh build over the same keys has — slot for slot, pads
+// included — through level changes and depth-first storage growth.
+func TestAppendMatchesBuild(t *testing.T) {
+	t.Run("int8", checkAppendMatchesBuild[int8])
+	t.Run("uint8", checkAppendMatchesBuild[uint8])
+	t.Run("int16", checkAppendMatchesBuild[int16])
+	t.Run("uint16", checkAppendMatchesBuild[uint16])
+	t.Run("int32", checkAppendMatchesBuild[int32])
+	t.Run("uint32", checkAppendMatchesBuild[uint32])
+	t.Run("int64", checkAppendMatchesBuild[int64])
+	t.Run("uint64", checkAppendMatchesBuild[uint64])
+}
+
+func checkAppendMatchesBuild[K keys.Key](t *testing.T) {
+	// 300 keys take every type through at least two level changes from
+	// empty; the 8-bit types stop at their 256 distinct values.
+	n := 300
+	if keys.Width[K]() == 1 {
+		n = 256
+	}
+	ks := make([]K, n)
+	for i := range ks {
+		ks[i] = keys.FromOrderedBits[K](uint64(i))
+	}
+	for _, layout := range Layouts {
+		tree := BuildUnchecked[K](nil, layout)
+		levelChanges, growths := 0, 0
+		for i, x := range ks {
+			r, stored := tree.Levels(), tree.Stored()
+			if !tree.Insert(x) {
+				t.Fatalf("%v insert %v reported duplicate", layout, x)
+			}
+			if tree.Levels() != r {
+				levelChanges++
+			} else if tree.Stored() > stored {
+				growths++
+			}
+			want := BuildUnchecked(ks[:i+1], layout)
+			if !reflect.DeepEqual(tree.Linearized(), want.Linearized()) {
+				t.Fatalf("%v after %d appends: slots %v, build %v", layout, i+1, tree.Linearized(), want.Linearized())
+			}
+			if tree.Stored() != want.Stored() || tree.Levels() != want.Levels() || tree.MemoryBytes() != want.MemoryBytes() {
+				t.Fatalf("%v after %d appends: stored/levels/bytes %d/%d/%d, build %d/%d/%d", layout, i+1,
+					tree.Stored(), tree.Levels(), tree.MemoryBytes(), want.Stored(), want.Levels(), want.MemoryBytes())
+			}
+		}
+		if err := tree.Validate(); err != nil {
+			t.Fatalf("%v: %v", layout, err)
+		}
+		if levelChanges < 2 {
+			t.Fatalf("%v: only %d level changes from empty", layout, levelChanges)
+		}
+		if layout == DepthFirst && growths == 0 {
+			t.Fatalf("depth-first storage never grew by append")
+		}
+	}
+}
+
+// TestAscendingFillAllocations bounds the allocations of filling one
+// default Seg-Tree node (uint64, depth-first) from empty to its perfect
+// size of 242 keys by ascending Insert: appends grow the storage
+// geometrically, so only the level changes and a few growths allocate.
+func TestAscendingFillAllocations(t *testing.T) {
+	allocs := testing.AllocsPerRun(20, func() {
+		tree := BuildUnchecked[uint64](nil, DepthFirst)
+		for v := uint64(1); v <= 242; v++ {
+			tree.Insert(v)
+		}
+	})
+	if allocs > 32 {
+		t.Fatalf("filling a node made %v allocations, want at most 32", allocs)
 	}
 }

@@ -65,3 +65,29 @@ func TestValidateCatchesPhantomStorageOnEmptyTree(t *testing.T) {
 		t.Fatal("phantom storage accepted")
 	}
 }
+
+func TestValidateCatchesStalePad(t *testing.T) {
+	for _, layout := range Layouts {
+		tree := Build([]uint32{10, 20, 30, 40, 50}, layout)
+		if err := tree.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		// A pad still holding an older maximum, as an append that skipped
+		// its refresh would leave it: the real keys stay intact.
+		slot := -1
+		for s, real := range tree.realSlots() {
+			if !real {
+				slot = s
+				break
+			}
+		}
+		if slot < 0 {
+			t.Fatalf("%v: no pad slot", layout)
+		}
+		keys.PutAt(tree.data, slot, uint32(40))
+		err := tree.Validate()
+		if err == nil || !strings.Contains(err.Error(), "pad") {
+			t.Fatalf("%v: stale pad accepted: %v", layout, err)
+		}
+	}
+}

@@ -31,6 +31,15 @@ func TestWidth(t *testing.T) {
 	if w := Width[uint64](); w != 8 {
 		t.Fatalf("uint64 width %d", w)
 	}
+	// Named derived types report the width of their underlying type.
+	type id uint32
+	type ts int64
+	if w := Width[id](); w != 4 {
+		t.Fatalf("id width %d", w)
+	}
+	if w := Width[ts](); w != 8 {
+		t.Fatalf("ts width %d", w)
+	}
 }
 
 func TestSigned(t *testing.T) {
