@@ -62,11 +62,14 @@ var Ops = [opCount]Op{OpGet, OpContains, OpPut, OpDelete, OpGetBatch, OpContains
 // histograms.
 //
 // The wrapper is as concurrency-safe as the wrapped index: the histograms
-// and counters themselves are lock-free.
+// and counters themselves are lock-free. A steady-state operation writes
+// no memory another goroutine's operation writes: the lifetime histograms
+// are striped per goroutine, and the counter destination is only read
+// while it is already this index's (see NewInstrumented).
 type Instrumented[K keys.Key, V any] struct {
 	inner   Index[K, V]
 	on      atomic.Bool
-	hists   [opCount]obs.Histogram
+	hists   [opCount]obs.StripedHistogram
 	counter *obs.Counters // nil when per-index counters are not attached
 	// sampler, when set, traces 1-in-N Gets into its rings (always-on
 	// production tracing); nil means no sampling and zero extra cost.
@@ -86,12 +89,28 @@ type opWindows struct {
 }
 
 // NewInstrumented wraps inner. withCounters additionally attaches a
-// dedicated obs.Counters that is enabled process-wide for the duration of
-// every timed operation (saving and restoring any previously enabled
-// counters), so the wrapper's Snapshot carries comparison and node counts
-// alongside latencies. Because the obs hook destination is process-global,
-// attaching counters to several concurrently-operated indexes interleaves
-// their attribution; latency histograms are always exact.
+// dedicated obs.Counters, so the wrapper's Snapshot carries comparison and
+// node counts alongside latencies. The obs hook destination is
+// process-global, and a timed operation attaches the index's Counters to
+// it as follows:
+//
+//   - If they already are the destination, the operation only reads it.
+//     This is the steady state, and it writes nothing shared.
+//   - If no Counters is enabled, the operation installs the index's and
+//     leaves them installed afterwards: there is nothing to restore, and
+//     the next operation is in the steady state. Searches outside the
+//     wrapper are then counted here too, until something else is enabled.
+//   - If other Counters are enabled, the operation displaces them with a
+//     compare-and-swap and swaps them back when it ends, unless the
+//     destination changed meanwhile. Counters enabled before a run of
+//     operations are therefore the destination again once every operation
+//     has ended, however the operations interleaved.
+//
+// While one operation has displaced other Counters, concurrent operations
+// of any index may count into either destination, so attaching counters
+// to several concurrently-operated indexes interleaves their attribution;
+// each count lands in exactly one destination, and latency histograms are
+// always exact.
 func NewInstrumented[K keys.Key, V any](inner Index[K, V], withCounters bool) *Instrumented[K, V] {
 	ix := &Instrumented[K, V]{inner: inner}
 	if withCounters {
@@ -117,31 +136,44 @@ func (ix *Instrumented[K, V]) Enabled() bool { return ix.on.Load() }
 // Counters returns the attached per-index counters, or nil.
 func (ix *Instrumented[K, V]) Counters() *obs.Counters { return ix.counter }
 
-// Histogram returns a snapshot of one operation's latency histogram.
+// Histogram returns a snapshot of one operation's latency histogram, its
+// stripes merged.
 func (ix *Instrumented[K, V]) Histogram(op Op) obs.HistogramSnapshot {
 	return ix.hists[op].Read()
 }
 
-// begin starts timing one operation; it returns the start time and, when
-// per-index counters are attached, enables them (remembering what to
-// restore). end completes the measurement.
-func (ix *Instrumented[K, V]) begin() (time.Time, *obs.Counters) {
-	var prev *obs.Counters
+// The per-op timing and counter attachment wrap every instrumented
+// operation and are zero-allocation hot paths; the directive keeps their
+// //simdtree:hotpath annotations checked by cmd/simdvet.
+//
+//simdtree:kernels ^Instrumented\.(begin|end)$
+
+// clockBase anchors operation timing: time.Since of a Time carrying a
+// monotonic reading takes one monotonic clock read, where time.Now takes
+// a wall and a monotonic one.
+var clockBase = time.Now()
+
+// begin starts timing one operation; it returns the start offset and,
+// when per-index counters are attached, the destination they displaced
+// (see NewInstrumented). end completes the measurement.
+//
+//simdtree:hotpath
+func (ix *Instrumented[K, V]) begin() (time.Duration, *obs.Counters) {
+	var displaced *obs.Counters
 	if ix.counter != nil {
-		prev = obs.Enable(ix.counter)
+		displaced = obs.Attach(ix.counter)
 	}
-	return time.Now(), prev
+	return time.Since(clockBase), displaced
 }
 
-func (ix *Instrumented[K, V]) end(op Op, start time.Time, prev *obs.Counters) {
-	d := time.Since(start)
+//simdtree:hotpath
+func (ix *Instrumented[K, V]) end(op Op, start time.Duration, displaced *obs.Counters) {
+	d := time.Since(clockBase) - start
 	ix.hists[op].Observe(d)
 	if w := ix.windows.Load(); w != nil {
 		w.hists[op].Observe(d)
 	}
-	if ix.counter != nil {
-		obs.Enable(prev)
-	}
+	obs.Detach(ix.counter, displaced)
 }
 
 // EnableWindows attaches (replacing any previous) per-op windowed
@@ -198,7 +230,7 @@ func (ix *Instrumented[K, V]) Get(k K) (V, bool) {
 	if !ix.on.Load() {
 		return ix.inner.Get(k)
 	}
-	start, prev := ix.begin()
+	start, displaced := ix.begin()
 	var v V
 	var ok bool
 	if sp := ix.sampler.Load(); sp.ShouldSample() {
@@ -209,7 +241,7 @@ func (ix *Instrumented[K, V]) Get(k K) (V, bool) {
 	} else {
 		v, ok = ix.inner.Get(k)
 	}
-	ix.end(OpGet, start, prev)
+	ix.end(OpGet, start, displaced)
 	return v, ok
 }
 
@@ -219,9 +251,9 @@ func (ix *Instrumented[K, V]) GetTraced(k K, tr *trace.Trace) (V, bool) {
 	if !ix.on.Load() {
 		return ix.inner.GetTraced(k, tr)
 	}
-	start, prev := ix.begin()
+	start, displaced := ix.begin()
 	v, ok := ix.inner.GetTraced(k, tr)
-	ix.end(OpGet, start, prev)
+	ix.end(OpGet, start, displaced)
 	return v, ok
 }
 
@@ -253,9 +285,9 @@ func (ix *Instrumented[K, V]) Contains(k K) bool {
 	if !ix.on.Load() {
 		return ix.inner.Contains(k)
 	}
-	start, prev := ix.begin()
+	start, displaced := ix.begin()
 	ok := ix.inner.Contains(k)
-	ix.end(OpContains, start, prev)
+	ix.end(OpContains, start, displaced)
 	return ok
 }
 
@@ -264,9 +296,9 @@ func (ix *Instrumented[K, V]) Put(k K, v V) bool {
 	if !ix.on.Load() {
 		return ix.inner.Put(k, v)
 	}
-	start, prev := ix.begin()
+	start, displaced := ix.begin()
 	fresh := ix.inner.Put(k, v)
-	ix.end(OpPut, start, prev)
+	ix.end(OpPut, start, displaced)
 	return fresh
 }
 
@@ -275,9 +307,9 @@ func (ix *Instrumented[K, V]) Delete(k K) bool {
 	if !ix.on.Load() {
 		return ix.inner.Delete(k)
 	}
-	start, prev := ix.begin()
+	start, displaced := ix.begin()
 	ok := ix.inner.Delete(k)
-	ix.end(OpDelete, start, prev)
+	ix.end(OpDelete, start, displaced)
 	return ok
 }
 
@@ -286,9 +318,9 @@ func (ix *Instrumented[K, V]) GetBatch(ks []K) ([]V, []bool) {
 	if !ix.on.Load() {
 		return ix.inner.GetBatch(ks)
 	}
-	start, prev := ix.begin()
+	start, displaced := ix.begin()
 	vs, oks := ix.inner.GetBatch(ks)
-	ix.end(OpGetBatch, start, prev)
+	ix.end(OpGetBatch, start, displaced)
 	return vs, oks
 }
 
@@ -297,9 +329,9 @@ func (ix *Instrumented[K, V]) ContainsBatch(ks []K) []bool {
 	if !ix.on.Load() {
 		return ix.inner.ContainsBatch(ks)
 	}
-	start, prev := ix.begin()
+	start, displaced := ix.begin()
 	oks := ix.inner.ContainsBatch(ks)
-	ix.end(OpContainsBatch, start, prev)
+	ix.end(OpContainsBatch, start, displaced)
 	return oks
 }
 
@@ -310,9 +342,9 @@ func (ix *Instrumented[K, V]) Scan(lo, hi K, fn func(K, V) bool) {
 		ix.inner.Scan(lo, hi, fn)
 		return
 	}
-	start, prev := ix.begin()
+	start, displaced := ix.begin()
 	ix.inner.Scan(lo, hi, fn)
-	ix.end(OpScan, start, prev)
+	ix.end(OpScan, start, displaced)
 }
 
 // Len implements Index (untimed).

@@ -1,7 +1,9 @@
 package index_test
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -192,6 +194,112 @@ func TestInstrumentedWritePrometheus(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Prometheus output missing %q\n%s", want, out)
+		}
+	}
+}
+
+// TestInstrumentedCountersConcurrentRestore pins the counter attachment
+// of NewInstrumented under concurrency: with other Counters enabled,
+// Gets from several goroutines must leave those Counters the destination
+// once they have all ended, and every node visit must be counted exactly
+// once, into one of the two. Run it with -race.
+func TestInstrumentedCountersConcurrentRestore(t *testing.T) {
+	var outer obs.Counters
+	prev := obs.Enable(&outer)
+	defer obs.Enable(prev)
+
+	ix := index.NewInstrumented(newSmallSegTree(), true)
+	const keys = 50
+	for i := uint32(0); i < keys; i++ {
+		ix.Put(i, int(i))
+	}
+	ix.Reset()
+	for i := uint32(0); i < keys; i++ {
+		ix.Get(i)
+	}
+	perPass := ix.Counters().Read().NodeVisits
+	if perPass == 0 || outer.Read().NodeVisits != 0 {
+		t.Fatalf("serial pass counted %d visits, outer %d", perPass, outer.Read().NodeVisits)
+	}
+
+	ix.Reset()
+	const goroutines, gets = 2, 20_000
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < gets; i++ {
+				if v, ok := ix.Get(uint32(i % keys)); !ok || v != i%keys {
+					t.Errorf("Get(%d) = %d,%v", i%keys, v, ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if obs.Active() != &outer {
+		t.Fatal("concurrent Gets left the index's counters enabled instead of the outer ones")
+	}
+	visits := ix.Counters().Read().NodeVisits + outer.Read().NodeVisits
+	if want := goroutines * gets / keys * perPass; visits != want {
+		t.Errorf("index plus outer counters hold %d node visits, want %d", visits, want)
+	}
+	if n := ix.Histogram(index.OpGet).Count; n != goroutines*gets {
+		t.Errorf("Get histogram holds %d observations, want %d", n, goroutines*gets)
+	}
+}
+
+// TestInstrumentedStripedHistogramsExact pins that the per-op lifetime
+// histograms lose nothing to striping: G goroutines × N Gets are G·N
+// observations in Histogram, Snapshot and the Prometheus exposition
+// alike, and Reset empties them. Run it with -race.
+func TestInstrumentedStripedHistogramsExact(t *testing.T) {
+	ix := index.NewInstrumented(newSmallSegTree(), true)
+	for i := uint32(0); i < 100; i++ {
+		ix.Put(i, int(i))
+	}
+	const goroutines, gets = 8, 5000
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < gets; i++ {
+				ix.Get(uint32((g + i) % 100))
+			}
+		}(g)
+	}
+	wg.Wait()
+	const want = goroutines * gets
+	hist := ix.Histogram(index.OpGet)
+	if hist.Count != want {
+		t.Fatalf("Histogram(OpGet).Count = %d, want %d", hist.Count, want)
+	}
+	var bucketed uint64
+	for _, c := range hist.Counts {
+		bucketed += c
+	}
+	if bucketed != want {
+		t.Fatalf("Get buckets sum to %d, want %d", bucketed, want)
+	}
+	snap := ix.Snapshot()
+	for _, op := range snap.Ops {
+		if op.Op == index.OpGet.String() && op.Histogram != hist {
+			t.Fatalf("Snapshot Get histogram %+v differs from Histogram(OpGet) %+v", op.Histogram, hist)
+		}
+	}
+	var b strings.Builder
+	if err := ix.WritePrometheus(&b, "segidx"); err != nil {
+		t.Fatal(err)
+	}
+	if line := fmt.Sprintf(`segidx_op_latency_seconds_count{op="get"} %d`, want); !strings.Contains(b.String(), line) {
+		t.Fatalf("Prometheus output missing %q", line)
+	}
+	ix.Reset()
+	for _, op := range index.Ops {
+		if n := ix.Histogram(op).Count; n != 0 {
+			t.Errorf("%v histogram holds %d observations after Reset", op, n)
 		}
 	}
 }

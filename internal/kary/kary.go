@@ -66,23 +66,24 @@ var Layouts = []Layout{BreadthFirst, DepthFirst}
 // Tree is a linearized k-ary search tree over a sorted list of keys — the
 // key storage of one Seg-Tree node. K (as in "k-ary") is fixed by the key
 // type: k−1 keys fill one 128-bit register (paper Table 2).
+//
+// The struct fits one 64-byte cache line for every key type: it is
+// embedded by value in every tree node, and a search reads its header
+// before the first key.
 type Tree[K keys.Key] struct {
-	layout Layout
+	data   []byte // packed realigned lanes, stored × key width bytes
 	n      int    // real key count
-	r      int    // levels of the k-ary search tree
 	m      int    // breadth-first only: number of last-level nodes
 	stored int    // stored key slots, multiple of k−1 (incl. replenishment)
-	data   []byte // packed realigned lanes, stored × key width bytes
 	smax   K      // largest real key; padding value (§3.3)
 
-	// Geometry cached at build time so searches never recompute it. The
-	// struct is kept within one cache line: it is embedded by value in
-	// every tree node.
-	w     uint8  // key width in bytes
-	k     uint8  // k-ary order (lanes+1)
-	lanes uint8  // keys per SIMD register (k−1)
-	obias uint64 // XOR bias mapping K to unsigned lane order
-	lmask uint64 // low w×8 bits
+	r      uint8 // levels of the k-ary search tree
+	layout uint8 // the Layout
+	// Geometry cached at build time for the maintenance paths; the
+	// search loops take it from K, where it is a constant.
+	w     uint8 // key width in bytes
+	k     uint8 // k-ary order (lanes+1)
+	lanes uint8 // keys per SIMD register (k−1)
 }
 
 // Prepare broadcasts the search key v into a reusable SIMD search
@@ -139,26 +140,27 @@ func BuildChecked[K keys.Key](sorted []K, layout Layout) (*Tree[K], error) {
 }
 
 // BuildUnchecked is Build without the sortedness check, for callers (the
-// Seg-Tree) that maintain sorted keys themselves.
+// Seg-Tree) that maintain sorted keys themselves. Any layout other than
+// BreadthFirst builds, and reports, DepthFirst.
 func BuildUnchecked[K keys.Key](sorted []K, layout Layout) *Tree[K] {
+	if layout != BreadthFirst {
+		layout = DepthFirst
+	}
 	k := keys.K[K]()
 	w := keys.Width[K]()
 	n := len(sorted)
-	t := &Tree[K]{layout: layout, n: n, w: uint8(w), k: uint8(k), lanes: uint8(k - 1)}
-	t.lmask = ^uint64(0) >> (64 - 8*uint(w))
-	if keys.Signed[K]() {
-		t.obias = 1 << (8*uint(w) - 1)
-	}
+	t := &Tree[K]{layout: uint8(layout), n: n, w: uint8(w), k: uint8(k), lanes: uint8(k - 1)}
 	if n == 0 {
 		return t
 	}
-	t.r = levels(n, k)
+	r := levels(n, k)
+	t.r = uint8(r)
 	t.smax = sorted[n-1]
 
 	if layout == BreadthFirst {
 		// Complete tree: upper r−1 levels are full (k^(r−1)−1 keys), the
 		// last level holds m left-packed nodes.
-		upper := pow(k, t.r-1) - 1
+		upper := pow(k, r-1) - 1
 		t.m = (n - upper + k - 2) / (k - 1)
 		t.stored = upper + t.m*(k-1)
 		t.data = make([]byte, t.stored*w)
@@ -166,7 +168,7 @@ func BuildUnchecked[K keys.Key](sorted []K, layout Layout) *Tree[K] {
 			keys.PutAt(t.data, p, t.smax)
 		}
 		for s := 0; s < n; s++ {
-			keys.PutAt(t.data, posComplete(s, k, t.r, t.m), sorted[s])
+			keys.PutAt(t.data, posComplete(s, k, r, t.m), sorted[s])
 		}
 		return t
 	}
@@ -174,24 +176,24 @@ func BuildUnchecked[K keys.Key](sorted []K, layout Layout) *Tree[K] {
 	// Depth-first: perfect-tree positions with interior replenishment,
 	// truncated at the node boundary after the last real key. One in-order
 	// walk of the geometry writes the keys into their slots.
-	t.stored = storedDF(n, k, t.r)
+	t.stored = storedDF(n, k, r)
 	t.data = make([]byte, t.stored*w)
 	for p := 0; p < t.stored; p++ {
 		keys.PutAt(t.data, p, t.smax)
 	}
-	walkDF(k, t.r, n, func(s, slot int) { keys.PutAt(t.data, slot, sorted[s]) })
+	walkDF(k, r, n, func(s, slot int) { keys.PutAt(t.data, slot, sorted[s]) })
 	return t
 }
 
 // Layout reports the linearization order of the tree.
-func (t *Tree[K]) Layout() Layout { return t.layout }
+func (t *Tree[K]) Layout() Layout { return Layout(t.layout) }
 
 // Len reports the number of real keys.
 func (t *Tree[K]) Len() int { return t.n }
 
 // Levels reports the number of k-ary search tree levels r (the number of
 // SIMD comparisons one search performs).
-func (t *Tree[K]) Levels() int { return t.r }
+func (t *Tree[K]) Levels() int { return int(t.r) }
 
 // Stored reports the number of stored key slots including replenishment —
 // the paper's N_S (Table 3) for the breadth-first layout.
@@ -210,10 +212,10 @@ func (t *Tree[K]) Max() (max K, ok bool) {
 
 // pos maps a sorted position to its storage slot under the tree's layout.
 func (t *Tree[K]) pos(s int) int {
-	if t.layout == DepthFirst {
-		return posDF(s, int(t.k), t.r)
+	if t.Layout() == DepthFirst {
+		return posDF(s, int(t.k), int(t.r))
 	}
-	return posComplete(s, int(t.k), t.r, t.m)
+	return posComplete(s, int(t.k), int(t.r), t.m)
 }
 
 // At returns the key at the given index of the original sorted order, by
@@ -228,8 +230,8 @@ func (t *Tree[K]) At(s int) K {
 // Keys delinearizes the tree back into its sorted key list.
 func (t *Tree[K]) Keys() []K {
 	out := make([]K, t.n)
-	if t.layout == DepthFirst {
-		walkDF(int(t.k), t.r, t.n, func(s, slot int) { out[s] = keys.GetAt[K](t.data, slot) })
+	if t.Layout() == DepthFirst {
+		walkDF(int(t.k), int(t.r), t.n, func(s, slot int) { out[s] = keys.GetAt[K](t.data, slot) })
 		return out
 	}
 	for s := 0; s < t.n; s++ {

@@ -2,6 +2,8 @@ package kary
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/bitmask"
 	"repro/internal/keys"
@@ -14,7 +16,36 @@ import (
 // paper's Algorithms 4 and 5; the directive keeps their
 // //simdtree:hotpath annotations checked by cmd/simdvet.
 //
-//simdtree:kernels ^(Tree\.(SearchPT|LookupPT|searchBF|searchDF|SearchWithEquality)|evaluate|clamp|firstSetLane)$
+//simdtree:kernels ^(Tree\.(SearchPT|LookupPT|descendBF|descendDF|SearchWithEquality)|clamp|firstSetLane)$
+
+// strides[c][e] is k^e − 1 for the k of lane-width class c (c = log2 of
+// the key width, so k = 17, 9, 5, 3): the key count of a perfect k-ary
+// subtree of e levels. In an r-level tree, level R starts at slot
+// k^R − 1 in the breadth-first layout (Algorithm 5) and skips subtrees of
+// r−1−R levels in the depth-first layout (Algorithm 4), so one row serves
+// both descents and no level divides. Entries past the largest k^e that
+// fits an int saturate; no tree is that deep.
+var strides = func() (t [4][64]int) {
+	for c := range t {
+		k := 16>>c + 1
+		p := 1
+		for e := range t[c] {
+			t[c][e] = p - 1
+			if p > math.MaxInt/k {
+				p = math.MaxInt
+			} else {
+				p *= k
+			}
+		}
+	}
+	return t
+}()
+
+// strideRow returns the strides row of key type K. The width is a
+// constant per instantiation, so the row is a constant address.
+func strideRow[K keys.Key]() *[64]int {
+	return &strides[bits.TrailingZeros8(uint8(keys.Width[K]()))&3]
+}
 
 // Search returns the index, in the original sorted order, of the first key
 // strictly greater than v — the same value binary search on the sorted list
@@ -22,7 +53,7 @@ import (
 // tree level, dispatching to Algorithm 5 (breadth-first) or Algorithm 4
 // (depth-first), and evaluates each comparison bitmask with ev.
 func (t *Tree[K]) Search(v K, ev bitmask.Evaluator) int {
-	return t.SearchP(v, simd.NewSearch(int(t.w), (uint64(v)^t.obias)&t.lmask), ev)
+	return t.SearchPT(v, Prepare(v), ev, nil)
 }
 
 // SearchP is Search with a caller-prepared search register (see Prepare),
@@ -36,80 +67,193 @@ func (t *Tree[K]) SearchP(v K, search simd.Search, ev bitmask.Evaluator) int {
 // untraced paths share one kernel, so a trace shows exactly what the
 // search executed.
 func (t *Tree[K]) SearchT(v K, ev bitmask.Evaluator, tr *trace.Trace) int {
-	return t.SearchPT(v, simd.NewSearch(int(t.w), (uint64(v)^t.obias)&t.lmask), ev, tr)
+	return t.SearchPT(v, Prepare(v), ev, tr)
 }
 
 // SearchPT is SearchP with per-level trace recording into tr (nil records
-// nothing and costs one pointer comparison per level).
+// nothing and costs one pointer comparison per level). It is LookupPT
+// without the membership bit: both run the same descent.
 //
 //simdtree:hotpath
 func (t *Tree[K]) SearchPT(v K, search simd.Search, ev bitmask.Evaluator, tr *trace.Trace) int {
-	obs.NodeVisits(1)
+	rank, _ := t.LookupPT(v, search, ev, tr)
+	return rank
+}
+
+// Lookup combines Search with a membership test: it returns the rank (the
+// index of the first key greater than v) and whether v itself is present.
+// The equality information falls out of the descent for free — every
+// visited node is tested with a three-instruction any-lane-equal check on
+// the register that is already loaded, so callers avoid the position
+// transformation a separate At(rank-1) comparison would cost.
+func (t *Tree[K]) Lookup(v K, ev bitmask.Evaluator) (rank int, found bool) {
+	return t.LookupPT(v, Prepare(v), ev, nil)
+}
+
+// LookupP is Lookup with a caller-prepared search register (see Prepare).
+func (t *Tree[K]) LookupP(v K, search simd.Search, ev bitmask.Evaluator) (rank int, found bool) {
+	return t.LookupPT(v, search, ev, nil)
+}
+
+// LookupT is Lookup with per-level trace recording into tr (nil records
+// nothing).
+func (t *Tree[K]) LookupT(v K, ev bitmask.Evaluator, tr *trace.Trace) (rank int, found bool) {
+	return t.LookupPT(v, Prepare(v), ev, tr)
+}
+
+// LookupPT is LookupP with per-level trace recording into tr (nil records
+// nothing and costs one pointer comparison per level). Every search entry
+// point ends here, and the node visit is counted once: one obs hook with
+// the levels descended and the SIMD compares actually run.
+//
+//simdtree:hotpath
+func (t *Tree[K]) LookupPT(v K, search simd.Search, ev bitmask.Evaluator, tr *trace.Trace) (rank int, found bool) {
 	if t.n == 0 {
+		obs.NodeSearched(0, 0)
 		if tr != nil {
 			tr.FastPath("empty-node", 0)
 		}
-		return 0
+		return 0, false
 	}
 	// §3.3: replenishment check. If v is not smaller than S_max, no key is
 	// greater; this also guarantees the descent below never reads pad-only
-	// regions outside the truncated storage.
+	// regions outside the truncated storage. S_max is always a real key,
+	// so larger keys cannot be present.
 	if v >= t.smax {
+		obs.NodeSearched(0, 0)
 		if tr != nil {
 			tr.FastPath("smax-short-circuit", t.n)
 		}
-		return t.n
+		return t.n, v == t.smax
 	}
-	obs.LevelsDescended(t.r)
-	if t.layout == DepthFirst {
-		return t.searchDF(search, ev, tr)
+	if t.Layout() == DepthFirst {
+		return t.descendDF(search, ev, tr)
 	}
-	return t.searchBF(search, ev, tr)
+	return t.descendBF(search, ev, tr)
 }
 
-// searchBF is the paper's Algorithm 5: breadth-first search using SIMD,
-// here over a complete k-ary tree. The upper r−1 levels are perfect, so
-// pLevel accumulates one child digit per level and doubles as the node
-// index within the next level. The left-packed last level has m nodes; a
-// descent to a missing node means the insertion point lies behind every
-// existing leaf, giving rank pLevel + m·(k−1) directly. The five-step
-// SIMD sequence of §2.1 (load, broadcast, compare, movemask, evaluate) is
-// written out in the loop body so it compiles to straight-line code.
+// descendBF is the paper's Algorithm 5: breadth-first search using SIMD,
+// here over a complete k-ary tree. pLevel accumulates one child digit per
+// level and doubles as the node index within the next level, which starts
+// at slot k^R − 1. Only the left-packed last level can be short: a
+// descent to a node at or past the stored slots means the insertion point
+// lies behind every one of the m existing leaves, giving rank
+// pLevel + m·(k−1) directly. Each level is the §2.1 sequence written out
+// straight: one inlined fused compare (load, compare, movemask, any-equal)
+// for the key type's width — a constant, so one switch arm remains — and
+// the evaluator switch.
 //
 //simdtree:hotpath
-func (t *Tree[K]) searchBF(search simd.Search, ev bitmask.Evaluator, tr *trace.Trace) int {
-	w, k, lanes := int(t.w), int(t.k), int(t.lanes)
-	data := t.data
+func (t *Tree[K]) descendBF(search simd.Search, ev bitmask.Evaluator, tr *trace.Trace) (rank int, found bool) {
+	w := keys.Width[K]()
+	lanes := 16 / w
+	k := lanes + 1
+	row := strideRow[K]()
+	data, stored := t.data, t.stored
 
-	pLevel := 0
-	base := 0   // first slot of the current level
-	lvlCnt := 1 // nodes on the current level
-	for R := 0; R < t.r-1; R++ {
-		keyIdx := base + pLevel*lanes
-		mask := search.GtMask(data[keyIdx*w:])
-		pos := evaluate(ev, mask, w)
-		if tr != nil {
-			tr.SIMD(R, w, t.laneStrings(keyIdx), mask, false, pos)
+	r := int(t.r)
+	pLevel, compared := 0, 0
+	for R := 0; R < r; R++ {
+		keyIdx := row[R&63] + pLevel*lanes
+		if keyIdx >= stored {
+			// Missing last-level node: v is larger than every key of all
+			// m existing leaves, which therefore all count as ≤ v.
+			if tr != nil {
+				tr.Skip(R, "missing-leaf-node")
+			}
+			obs.NodeSearched(r, compared)
+			return clamp(pLevel+t.m*lanes, t.n), found
 		}
+		var mask uint16
+		var eq bool
+		switch w {
+		case 1:
+			mask, eq = search.GtMaskEq8(data[keyIdx*w:])
+		case 2:
+			mask, eq = search.GtMaskEq16(data[keyIdx*w:])
+		case 4:
+			mask, eq = search.GtMaskEq32(data[keyIdx*w:])
+		default:
+			mask, eq = search.GtMaskEq64(data[keyIdx*w:])
+		}
+		var pos int
+		switch ev {
+		case bitmask.BitShift:
+			pos = bitmask.BitShiftEval(mask, w)
+		case bitmask.SwitchCase:
+			pos = bitmask.SwitchEval(mask, w)
+		default:
+			pos = bitmask.PopcountEval(mask, w)
+		}
+		if tr != nil {
+			tr.SIMD(R, w, t.laneStrings(keyIdx), mask, eq, pos)
+		}
+		found = found || eq
 		pLevel = pLevel*k + pos
-		base += lvlCnt * lanes
-		lvlCnt *= k
+		compared++
 	}
-	if pLevel >= t.m {
-		// Missing last-level node: v is larger than every key of all m
-		// existing leaves, which therefore all count as ≤ v.
-		if tr != nil {
-			tr.Skip(t.r-1, "missing-leaf-node")
+	obs.NodeSearched(r, compared)
+	return clamp(pLevel, t.n), found
+}
+
+// descendDF is the paper's Algorithm 4: depth-first search using SIMD.
+// At level R the key pointer jumps over the chosen number of perfect
+// subtrees of r−1−R levels each; the level body is descendBF's.
+//
+//simdtree:hotpath
+func (t *Tree[K]) descendDF(search simd.Search, ev bitmask.Evaluator, tr *trace.Trace) (rank int, found bool) {
+	w := keys.Width[K]()
+	lanes := 16 / w
+	k := lanes + 1
+	row := strideRow[K]()
+	data, stored := t.data, t.stored
+
+	r := int(t.r)
+	pLevel, keyIdx, compared := 0, 0, 0
+	for R := 0; R < r; R++ {
+		pLevel *= k
+		if keyIdx >= stored {
+			// Truncated pure-pad region: every pad equals S_max > v, so
+			// the digit of this and all deeper levels is 0. A search
+			// below S_max never gets here — the separator before a
+			// pad-only subtree is S_max or a pad — so this guards the
+			// loads rather than counting as a compared level.
+			if tr != nil {
+				tr.Skip(R, "pad-region")
+			}
+			continue
 		}
-		return clamp(pLevel+t.m*lanes, t.n)
+		var mask uint16
+		var eq bool
+		switch w {
+		case 1:
+			mask, eq = search.GtMaskEq8(data[keyIdx*w:])
+		case 2:
+			mask, eq = search.GtMaskEq16(data[keyIdx*w:])
+		case 4:
+			mask, eq = search.GtMaskEq32(data[keyIdx*w:])
+		default:
+			mask, eq = search.GtMaskEq64(data[keyIdx*w:])
+		}
+		var pos int
+		switch ev {
+		case bitmask.BitShift:
+			pos = bitmask.BitShiftEval(mask, w)
+		case bitmask.SwitchCase:
+			pos = bitmask.SwitchEval(mask, w)
+		default:
+			pos = bitmask.PopcountEval(mask, w)
+		}
+		if tr != nil {
+			tr.SIMD(R, w, t.laneStrings(keyIdx), mask, eq, pos)
+		}
+		found = found || eq
+		keyIdx += lanes + row[(r-1-R)&63]*pos
+		pLevel += pos
+		compared++
 	}
-	keyIdx := base + pLevel*lanes
-	mask := search.GtMask(data[keyIdx*w:])
-	pos := evaluate(ev, mask, w)
-	if tr != nil {
-		tr.SIMD(t.r-1, w, t.laneStrings(keyIdx), mask, false, pos)
-	}
-	return clamp(pLevel*k+pos, t.n)
+	obs.NodeSearched(r, compared)
+	return clamp(pLevel, t.n), found
 }
 
 // laneStrings formats the lane values of the node starting at slot
@@ -121,158 +265,6 @@ func (t *Tree[K]) laneStrings(keyIdx int) []string {
 		out[i] = fmt.Sprint(keys.GetAt[K](t.data, keyIdx+i))
 	}
 	return out
-}
-
-// evaluate dispatches the bitmask evaluation with an inlined fast path for
-// the paper's preferred popcount algorithm. It dispatches to the leaf
-// algorithms directly rather than through Evaluator.Evaluate so the
-// per-level observability hook fires exactly once per evaluation.
-//
-//simdtree:hotpath
-func evaluate(ev bitmask.Evaluator, mask uint16, w int) int {
-	obs.MaskEvals(1)
-	switch ev {
-	case bitmask.BitShift:
-		return bitmask.BitShiftEval(mask, w)
-	case bitmask.SwitchCase:
-		return bitmask.SwitchEval(mask, w)
-	default:
-		return bitmask.PopcountEval(mask, w)
-	}
-}
-
-// searchDF is the paper's Algorithm 4: depth-first search using SIMD.
-// subSize tracks the per-child key capacity of the shrinking perfect
-// subtree; the key pointer jumps over the chosen number of subtrees.
-//
-//simdtree:hotpath
-func (t *Tree[K]) searchDF(search simd.Search, ev bitmask.Evaluator, tr *trace.Trace) int {
-	w, k, lanes := int(t.w), int(t.k), int(t.lanes)
-	data := t.data
-
-	subSize := pow(k, t.r) - 1
-	pLevel := 0
-	keyIdx := 0
-	for R := 0; subSize > 0; R++ {
-		pLevel *= k
-		subSize = (subSize - lanes) / k
-		if keyIdx >= t.stored {
-			// Truncated pure-pad region: every pad equals S_max > v, so
-			// the digit of this and all deeper levels is 0.
-			if tr != nil {
-				tr.Skip(R, "pad-region")
-			}
-			continue
-		}
-		mask := search.GtMask(data[keyIdx*w:])
-		position := evaluate(ev, mask, w)
-		if tr != nil {
-			tr.SIMD(R, w, t.laneStrings(keyIdx), mask, false, position)
-		}
-		keyIdx += lanes + subSize*position
-		pLevel += position
-	}
-	return clamp(pLevel, t.n)
-}
-
-// Lookup combines Search with a membership test: it returns the rank (the
-// index of the first key greater than v) and whether v itself is present.
-// The equality information falls out of the descent for free — every
-// visited node is tested with a three-instruction any-lane-equal check on
-// the register that is already loaded, so callers avoid the position
-// transformation a separate At(rank-1) comparison would cost.
-func (t *Tree[K]) Lookup(v K, ev bitmask.Evaluator) (rank int, found bool) {
-	return t.LookupP(v, simd.NewSearch(int(t.w), (uint64(v)^t.obias)&t.lmask), ev)
-}
-
-// LookupP is Lookup with a caller-prepared search register (see Prepare).
-func (t *Tree[K]) LookupP(v K, search simd.Search, ev bitmask.Evaluator) (rank int, found bool) {
-	return t.LookupPT(v, search, ev, nil)
-}
-
-// LookupT is Lookup with per-level trace recording into tr (nil records
-// nothing).
-func (t *Tree[K]) LookupT(v K, ev bitmask.Evaluator, tr *trace.Trace) (rank int, found bool) {
-	return t.LookupPT(v, simd.NewSearch(int(t.w), (uint64(v)^t.obias)&t.lmask), ev, tr)
-}
-
-// LookupPT is LookupP with per-level trace recording into tr (nil records
-// nothing and costs one pointer comparison per level).
-//
-//simdtree:hotpath
-func (t *Tree[K]) LookupPT(v K, search simd.Search, ev bitmask.Evaluator, tr *trace.Trace) (rank int, found bool) {
-	obs.NodeVisits(1)
-	if t.n == 0 {
-		if tr != nil {
-			tr.FastPath("empty-node", 0)
-		}
-		return 0, false
-	}
-	if v >= t.smax {
-		// S_max is always a real key; larger keys cannot be present.
-		if tr != nil {
-			tr.FastPath("smax-short-circuit", t.n)
-		}
-		return t.n, v == t.smax
-	}
-	obs.LevelsDescended(t.r)
-	w, k, lanes := int(t.w), int(t.k), int(t.lanes)
-	data := t.data
-
-	if t.layout == DepthFirst {
-		subSize := pow(k, t.r) - 1
-		pLevel := 0
-		keyIdx := 0
-		for R := 0; subSize > 0; R++ {
-			pLevel *= k
-			subSize = (subSize - lanes) / k
-			if keyIdx >= t.stored {
-				if tr != nil {
-					tr.Skip(R, "pad-region")
-				}
-				continue
-			}
-			mask, eq := search.GtMaskEq(data[keyIdx*w:])
-			found = found || eq
-			position := evaluate(ev, mask, w)
-			if tr != nil {
-				tr.SIMD(R, w, t.laneStrings(keyIdx), mask, eq, position)
-			}
-			keyIdx += lanes + subSize*position
-			pLevel += position
-		}
-		return clamp(pLevel, t.n), found
-	}
-
-	pLevel := 0
-	base := 0
-	lvlCnt := 1
-	for R := 0; R < t.r-1; R++ {
-		keyIdx := base + pLevel*lanes
-		mask, eq := search.GtMaskEq(data[keyIdx*w:])
-		found = found || eq
-		pos := evaluate(ev, mask, w)
-		if tr != nil {
-			tr.SIMD(R, w, t.laneStrings(keyIdx), mask, eq, pos)
-		}
-		pLevel = pLevel*k + pos
-		base += lvlCnt * lanes
-		lvlCnt *= k
-	}
-	if pLevel >= t.m {
-		if tr != nil {
-			tr.Skip(t.r-1, "missing-leaf-node")
-		}
-		return clamp(pLevel+t.m*lanes, t.n), found
-	}
-	keyIdx := base + pLevel*lanes
-	mask, eq := search.GtMaskEq(data[keyIdx*w:])
-	found = found || eq
-	pos := evaluate(ev, mask, w)
-	if tr != nil {
-		tr.SIMD(t.r-1, w, t.laneStrings(keyIdx), mask, eq, pos)
-	}
-	return clamp(pLevel*k+pos, t.n), found
 }
 
 //simdtree:hotpath
@@ -292,7 +284,7 @@ func clamp(x, hi int) int {
 //
 //simdtree:hotpath
 func (t *Tree[K]) SearchWithEquality(v K, ev bitmask.Evaluator) int {
-	if t.layout != BreadthFirst {
+	if t.Layout() != BreadthFirst {
 		return t.Search(v, ev)
 	}
 	obs.NodeVisits(1)
@@ -302,14 +294,14 @@ func (t *Tree[K]) SearchWithEquality(v K, ev bitmask.Evaluator) int {
 	if v >= t.smax {
 		return t.n
 	}
-	obs.LevelsDescended(t.r)
+	obs.LevelsDescended(int(t.r))
 	w, k, lanes := int(t.w), int(t.k), int(t.lanes)
-	search := simd.NewSearch(w, (uint64(v)^t.obias)&t.lmask)
+	search := Prepare(v)
 
 	pLevel := 0
 	base := 0
 	lvlCnt := 1
-	for R := 0; R < t.r-1; R++ {
+	for R := 0; R < int(t.r)-1; R++ {
 		keyIdx := base + pLevel*lanes
 		eqMask := search.EqMask(t.data[keyIdx*w:])
 		if eqMask != 0 {
@@ -319,7 +311,7 @@ func (t *Tree[K]) SearchWithEquality(v K, ev bitmask.Evaluator) int {
 			// one full leaf.
 			j := pLevel
 			i := firstSetLane(eqMask, w)
-			t1 := (j*k + i + 1) * pow(k, t.r-2-R)
+			t1 := (j*k + i + 1) * pow(k, int(t.r)-2-R)
 			leaves := t1
 			if leaves > t.m {
 				leaves = t.m
@@ -327,7 +319,7 @@ func (t *Tree[K]) SearchWithEquality(v K, ev bitmask.Evaluator) int {
 			return clamp(t1+leaves*lanes, t.n)
 		}
 		mask := search.GtMask(t.data[keyIdx*w:])
-		pLevel = pLevel*k + evaluate(ev, mask, w)
+		pLevel = pLevel*k + ev.Evaluate(mask, w)
 		base += lvlCnt * lanes
 		lvlCnt *= k
 	}
@@ -340,7 +332,7 @@ func (t *Tree[K]) SearchWithEquality(v K, ev bitmask.Evaluator) int {
 		return clamp(pLevel*k+firstSetLane(eqMask, w)+1, t.n)
 	}
 	mask := search.GtMask(t.data[keyIdx*w:])
-	return clamp(pLevel*k+evaluate(ev, mask, w), t.n)
+	return clamp(pLevel*k+ev.Evaluate(mask, w), t.n)
 }
 
 // firstSetLane returns the index of the first lane whose mask bits are set.

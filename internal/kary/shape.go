@@ -24,13 +24,13 @@ func (t *Tree[K]) realSlots() []bool {
 func (t *Tree[K]) slotLevels() []int {
 	lv := make([]int, t.stored)
 	k := int(t.k)
-	if t.layout == BreadthFirst {
+	if t.Layout() == BreadthFirst {
 		// Levels are contiguous regions: level R starts at slot k^R − 1
 		// (the left-packed last level of the complete tree starts at
 		// exactly k^(r−1) − 1 too).
 		for slot := range lv {
 			R := 0
-			for R+1 < t.r && pow(k, R+1)-1 <= slot {
+			for R+1 < int(t.r) && pow(k, R+1)-1 <= slot {
 				R++
 			}
 			lv[slot] = R
@@ -55,7 +55,7 @@ func (t *Tree[K]) slotLevels() []int {
 			walk(start+lanes+c*sub, depth+1, levels-1)
 		}
 	}
-	walk(0, 0, t.r)
+	walk(0, 0, int(t.r))
 	return lv
 }
 
@@ -90,12 +90,12 @@ func (t *Tree[K]) RegisterStats() (total, full int) {
 // §3.3 replenishment.
 func (t *Tree[K]) Shape() shape.Report {
 	name := "kary-bf"
-	if t.layout == DepthFirst {
+	if t.Layout() == DepthFirst {
 		name = "kary-df"
 	}
 	rep := shape.New(name)
 	rep.Keys = t.n
-	rep.Levels = t.r
+	rep.Levels = int(t.r)
 	if t.n == 0 {
 		return rep.Finalize()
 	}

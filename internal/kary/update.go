@@ -24,8 +24,8 @@ const padEvaluator = bitmask.Popcount
 func (t *Tree[K]) Insert(x K) bool {
 	// A key above S_max cannot be present, so the append test runs first
 	// and only the rebuild path pays for the duplicate search.
-	if t.n > 0 && x > t.smax && levels(t.n+1, int(t.k)) == t.r {
-		if t.layout == DepthFirst {
+	if t.n > 0 && x > t.smax && levels(t.n+1, int(t.k)) == int(t.r) {
+		if t.Layout() == DepthFirst {
 			t.appendDF(x)
 			return true
 		}
@@ -53,9 +53,9 @@ func (t *Tree[K]) Insert(x K) bool {
 // always equal S_max (§3.3).
 func (t *Tree[K]) appendBF(x K) {
 	k := keys.K[K]()
-	keys.PutAt(t.data, posComplete(t.n, k, t.r, t.m), x)
+	keys.PutAt(t.data, posComplete(t.n, k, int(t.r), t.m), x)
 	for s := t.n + 1; s < t.stored; s++ {
-		keys.PutAt(t.data, posComplete(s, k, t.r, t.m), x)
+		keys.PutAt(t.data, posComplete(s, k, int(t.r), t.m), x)
 	}
 	t.smax = x
 	t.n++
@@ -72,7 +72,7 @@ func (t *Tree[K]) appendDF(x K) {
 	k, lanes := int(t.k), int(t.lanes)
 	pos := 0
 	rem := t.n
-	childCap := pow(k, t.r) / k
+	childCap := pow(k, int(t.r)) / k
 	for {
 		c := (rem + 1) / childCap
 		sep := (rem+1)%childCap == 0
@@ -105,7 +105,7 @@ func (t *Tree[K]) growDF(need int) {
 	w := int(t.w)
 	if need*w > cap(t.data) {
 		c := max(2*cap(t.data), need*w)
-		c = min(c, (pow(int(t.k), t.r)-1)*w)
+		c = min(c, (pow(int(t.k), int(t.r))-1)*w)
 		grown := make([]byte, len(t.data), c)
 		copy(grown, t.data)
 		t.data = grown
@@ -139,5 +139,5 @@ func (t *Tree[K]) Contains(x K) bool {
 
 // rebuild replaces the tree contents with a fresh linearization of sorted.
 func (t *Tree[K]) rebuild(sorted []K) {
-	*t = *BuildUnchecked(sorted, t.layout)
+	*t = *BuildUnchecked(sorted, t.Layout())
 }

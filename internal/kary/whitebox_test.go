@@ -3,6 +3,7 @@ package kary
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/keys"
 )
@@ -88,6 +89,20 @@ func TestValidateCatchesStalePad(t *testing.T) {
 		err := tree.Validate()
 		if err == nil || !strings.Contains(err.Error(), "pad") {
 			t.Fatalf("%v: stale pad accepted: %v", layout, err)
+		}
+	}
+}
+
+// TestTreeFitsOneCacheLine pins the header size: a Tree is embedded by
+// value in every Seg-Tree and Seg-Trie node, and a search reads it before
+// the first key, so it must fit one 64-byte line for every key type.
+func TestTreeFitsOneCacheLine(t *testing.T) {
+	for name, size := range map[string]uintptr{
+		"uint8": unsafe.Sizeof(Tree[uint8]{}), "int16": unsafe.Sizeof(Tree[int16]{}),
+		"uint32": unsafe.Sizeof(Tree[uint32]{}), "int64": unsafe.Sizeof(Tree[int64]{}),
+	} {
+		if size > 64 {
+			t.Errorf("Tree[%s] is %d bytes, want at most 64", name, size)
 		}
 	}
 }

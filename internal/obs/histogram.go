@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // histBuckets is one bucket per possible bit length of a nanosecond
@@ -20,8 +21,16 @@ type Histogram struct {
 	sum    atomic.Uint64 // total observed nanoseconds
 }
 
+// The Observe paths and the stripe hash run once per timed operation and
+// are zero-allocation hot paths; the directive keeps their
+// //simdtree:hotpath annotations checked by cmd/simdvet.
+//
+//simdtree:kernels ^((Striped)?Histogram\.Observe|stripe|NodeSearched)$
+
 // Observe records one duration. Negative durations (clock steps) count as
 // zero rather than corrupting the sum.
+//
+//simdtree:hotpath
 func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -29,6 +38,45 @@ func (h *Histogram) Observe(d time.Duration) {
 	ns := uint64(d)
 	h.counts[bits.Len64(ns)].Add(1)
 	h.sum.Add(ns)
+}
+
+// histStripes is the stripe count of a StripedHistogram: enough that two
+// or three busy goroutines rarely share a stripe, few enough that the
+// seven per-op histograms of an Instrumented index stay near 64 KiB.
+const histStripes = 16
+
+// StripedHistogram is a Histogram split into per-goroutine stripes (see
+// stripe), each on its own cache lines, so goroutines observing on
+// different cores do not write the same lines. Read merges the stripes;
+// counts and sums are exact. The zero value is ready to use.
+type StripedHistogram struct {
+	stripes [histStripes]struct {
+		Histogram
+		_ [64 - unsafe.Sizeof(Histogram{})%64]byte
+	}
+}
+
+// Observe records one duration into the calling goroutine's stripe.
+//
+//simdtree:hotpath
+func (h *StripedHistogram) Observe(d time.Duration) {
+	h.stripes[stripe(histStripes)].Observe(d)
+}
+
+// Read merges every stripe into one snapshot.
+func (h *StripedHistogram) Read() HistogramSnapshot {
+	var s HistogramSnapshot
+	for i := range h.stripes {
+		s.Merge(h.stripes[i].Read())
+	}
+	return s
+}
+
+// Reset zeroes every stripe.
+func (h *StripedHistogram) Reset() {
+	for i := range h.stripes {
+		h.stripes[i].Reset()
+	}
 }
 
 // HistogramSnapshot is a point-in-time copy of a Histogram.

@@ -16,12 +16,13 @@
 package obs
 
 import (
+	"math/bits"
 	"sync/atomic"
 	"unsafe"
 )
 
 // numShards is the number of counter shards; a power of two so the shard
-// index is a mask, not a modulo.
+// index is the top bits of the stripe hash, not a modulo.
 const numShards = 32
 
 // shard is one cache line of counters. Five live counters plus padding to
@@ -43,15 +44,30 @@ type Counters struct {
 	shards [numShards]shard
 }
 
-// shard picks a shard for the calling goroutine. Goroutine identity is
-// approximated by the current stack address: distinct goroutines run on
-// distinct stacks, so discarding the low bits (intra-frame offsets) and
-// masking yields a stable, well-spread shard index with no allocation and
-// no runtime dependence. Collisions only cost contention, never
-// correctness.
-func (c *Counters) shard() *shard {
+// stackStripeShift drops the address bits that equal-depth frames of
+// different goroutines share: goroutine stacks are at least 2 KiB and
+// aligned to their size, so bits below 11 are the offset within a stack.
+const stackStripeShift = 11
+
+// stripe picks one of n (a power of two) stripes for the calling
+// goroutine — the one helper behind the sharded counters and the striped
+// histograms. Goroutine identity is approximated by the current stack
+// address: distinct goroutines run on distinct stacks, so the address
+// above the in-stack offset, Fibonacci-hashed, spreads concurrent
+// goroutines over all n stripes with no allocation and no runtime
+// dependence. A goroutine keeps its stripe while its stack stays put.
+// Collisions only cost contention, never correctness.
+//
+//simdtree:hotpath
+func stripe(n int) int {
 	var marker byte
-	return &c.shards[(uintptr(unsafe.Pointer(&marker))>>10)&(numShards-1)]
+	h := uint64(uintptr(unsafe.Pointer(&marker))>>stackStripeShift) * 0x9E3779B97F4A7C15
+	return int(h >> (64 - bits.TrailingZeros(uint(n))))
+}
+
+// shard picks the calling goroutine's counter shard.
+func (c *Counters) shard() *shard {
+	return &c.shards[stripe(numShards)]
 }
 
 // AddSIMDComparisons records n 128-bit SIMD compare kernels executed.
@@ -123,6 +139,32 @@ var active atomic.Pointer[Counters]
 // enabled Counters (nil if none), so callers can save and restore.
 func Enable(c *Counters) (prev *Counters) { return active.Swap(c) }
 
+// Attach makes c the destination of all hooks unless it already is, and
+// returns the destination it displaced: nil when c was already active or
+// when no Counters was. The steady state — c already active — is one
+// atomic load and writes nothing, so concurrent attachers of one c do not
+// contend. Pair it with Detach(c, displaced).
+func Attach(c *Counters) (displaced *Counters) {
+	for {
+		cur := active.Load()
+		if cur == c {
+			return nil
+		}
+		if active.CompareAndSwap(cur, c) {
+			return cur
+		}
+	}
+}
+
+// Detach hands the hooks back to displaced, as returned by Attach(c), if
+// it is non-nil and c is still the destination. A nil displaced leaves c
+// attached: it displaced nothing, so there is nothing to restore.
+func Detach(c, displaced *Counters) {
+	if displaced != nil {
+		active.CompareAndSwap(c, displaced)
+	}
+}
+
 // Disable detaches the enabled Counters and returns it (nil if none).
 func Disable() (prev *Counters) { return active.Swap(nil) }
 
@@ -158,6 +200,28 @@ func NodeVisits(n int) {
 func LevelsDescended(n int) {
 	if c := active.Load(); c != nil {
 		c.AddLevelsDescended(n)
+	}
+}
+
+// NodeSearched records one k-ary node search if counting is enabled: one
+// node visit, levels k-ary levels descended and compares SIMD compares,
+// each evaluated once. One hook per node keeps the per-level loop free of
+// counting; on the enabled path it is one shard lookup.
+//
+//simdtree:hotpath
+func NodeSearched(levels, compares int) {
+	if c := active.Load(); c != nil {
+		c.addNodeSearch(levels, compares)
+	}
+}
+
+func (c *Counters) addNodeSearch(levels, compares int) {
+	sh := c.shard()
+	sh.nodes.Add(1)
+	if levels > 0 {
+		sh.levels.Add(uint64(levels))
+		sh.simd.Add(uint64(compares))
+		sh.mask.Add(uint64(compares))
 	}
 }
 

@@ -2,6 +2,7 @@ package simd
 
 import (
 	"encoding/binary"
+	"math/bits"
 
 	"repro/internal/obs"
 )
@@ -23,7 +24,7 @@ import (
 // zero-allocation hot path; the directive keeps the //simdtree:hotpath
 // annotations checked by cmd/simdvet.
 //
-//simdtree:kernels ^(NewSearch|gtMask(8|16|32)|Search\.(GtMask|GtMaskEq|EqAny|EqMask))$
+//simdtree:kernels ^(NewSearch|load|gtMask(8|16|32)|Search\.(GtMask(64)?|GtMaskEq(8|16|32|64)?|EqAny|EqMask))$
 
 // Search is a prepared search register for repeated greater-than compares
 // of one search key against packed nodes.
@@ -107,15 +108,85 @@ func gtMask32(a uint64, sc uint64) uint32 {
 	return uint32(tl>>32&1)*0x0F | uint32(th>>32&1)*0xF0
 }
 
+// The per-width kernels below are the straight-line bodies of GtMaskEq
+// (and of GtMask's 64-bit arm), with no counting hook and no width
+// dispatch. A caller whose lane width is a compile-time constant — the
+// k-ary descent, instantiated per key type — switches on it once per
+// level and the compiler keeps a single arm. The 64-bit kernels fit Go's
+// inlining budget; the SWAR 8/16/32-bit ones do not and cost one call.
+// Every kernel reads b[0:16]; the masks are exactly GtMask's, the eq bit
+// exactly EqAny's.
+
+// load reads the two little-endian halves of the 16-byte node at b with
+// one bounds check.
+//
+//simdtree:hotpath
+func load(b []byte) (lo, hi uint64) {
+	b = b[:16]
+	return binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:])
+}
+
+// GtMask64 is GtMask for two 64-bit lanes. The borrow of s.lo−lane is the
+// lane's greater-than bit, so the mask is built without a branch on data.
+//
+//simdtree:hotpath
+func (s Search) GtMask64(b []byte) uint16 {
+	lo, hi := load(b)
+	_, gl := bits.Sub64(s.lo, lo^sign64, 0)
+	_, gh := bits.Sub64(s.hi, hi^sign64, 0)
+	return uint16(gl*0x00FF | gh*0xFF00)
+}
+
+// GtMaskEq8 is GtMaskEq for sixteen 8-bit lanes.
+//
+//simdtree:hotpath
+func (s Search) GtMaskEq8(b []byte) (uint16, bool) {
+	lo, hi := load(b)
+	lo, hi = lo^sign8, hi^sign8
+	x, y := lo^s.lo, hi^s.hi
+	return uint16(gtMask8(lo, s.sc) | gtMask8(hi, s.sc)<<8), ((x-rep8)&^x|(y-rep8)&^y)&sign8 != 0
+}
+
+// GtMaskEq16 is GtMaskEq for eight 16-bit lanes.
+//
+//simdtree:hotpath
+func (s Search) GtMaskEq16(b []byte) (uint16, bool) {
+	lo, hi := load(b)
+	lo, hi = lo^sign16, hi^sign16
+	x, y := lo^s.lo, hi^s.hi
+	return uint16(gtMask16(lo, s.sc) | gtMask16(hi, s.sc)<<8), ((x-rep16)&^x|(y-rep16)&^y)&sign16 != 0
+}
+
+// GtMaskEq32 is GtMaskEq for four 32-bit lanes.
+//
+//simdtree:hotpath
+func (s Search) GtMaskEq32(b []byte) (uint16, bool) {
+	lo, hi := load(b)
+	lo, hi = lo^sign32, hi^sign32
+	x, y := lo^s.lo, hi^s.hi
+	return uint16(gtMask32(lo, s.sc) | gtMask32(hi, s.sc)<<8), ((x-rep32)&^x|(y-rep32)&^y)&sign32 != 0
+}
+
+// GtMaskEq64 is GtMaskEq for two 64-bit lanes.
+//
+//simdtree:hotpath
+func (s Search) GtMaskEq64(b []byte) (uint16, bool) {
+	lo, hi := load(b)
+	lo, hi = lo^sign64, hi^sign64
+	_, gl := bits.Sub64(s.lo, lo, 0)
+	_, gh := bits.Sub64(s.hi, hi, 0)
+	return uint16(gl*0x00FF | gh*0xFF00), min(lo^s.lo, hi^s.hi) == 0
+}
+
 // GtMask loads one 16-byte node from b, compares every lane against the
 // prepared search key for greater-than, and returns the movemask — steps
-// 1, 3 and 4 of the paper's §2.1 sequence in one kernel.
+// 1, 3 and 4 of the paper's §2.1 sequence in one kernel. It counts one
+// SIMD comparison.
 //
 //simdtree:hotpath
 func (s Search) GtMask(b []byte) uint16 {
 	obs.SIMDComparisons(1)
-	lo := binary.LittleEndian.Uint64(b)
-	hi := binary.LittleEndian.Uint64(b[8:])
+	lo, hi := load(b)
 	switch s.width {
 	case 1:
 		return uint16(gtMask8(lo^sign8, s.sc) | gtMask8(hi^sign8, s.sc)<<8)
@@ -124,14 +195,7 @@ func (s Search) GtMask(b []byte) uint16 {
 	case 4:
 		return uint16(gtMask32(lo^sign32, s.sc) | gtMask32(hi^sign32, s.sc)<<8)
 	default:
-		var m uint16
-		if lo^sign64 > s.lo {
-			m = 0x00FF
-		}
-		if hi^sign64 > s.hi {
-			m |= 0xFF00
-		}
-		return m
+		return s.GtMask64(b)
 	}
 }
 
@@ -169,39 +233,16 @@ func (s Search) EqAny(b []byte) bool {
 //simdtree:hotpath
 func (s Search) GtMaskEq(b []byte) (mask uint16, eq bool) {
 	obs.SIMDComparisons(1)
-	lo := binary.LittleEndian.Uint64(b)
-	hi := binary.LittleEndian.Uint64(b[8:])
 	switch s.width {
 	case 1:
-		lo ^= sign8
-		hi ^= sign8
-		x, y := lo^s.lo, hi^s.hi
-		eq = (x-rep8)&^x&sign8 != 0 || (y-rep8)&^y&sign8 != 0
-		mask = uint16(gtMask8(lo, s.sc) | gtMask8(hi, s.sc)<<8)
+		return s.GtMaskEq8(b)
 	case 2:
-		lo ^= sign16
-		hi ^= sign16
-		x, y := lo^s.lo, hi^s.hi
-		eq = (x-rep16)&^x&sign16 != 0 || (y-rep16)&^y&sign16 != 0
-		mask = uint16(gtMask16(lo, s.sc) | gtMask16(hi, s.sc)<<8)
+		return s.GtMaskEq16(b)
 	case 4:
-		lo ^= sign32
-		hi ^= sign32
-		x, y := lo^s.lo, hi^s.hi
-		eq = (x-rep32)&^x&sign32 != 0 || (y-rep32)&^y&sign32 != 0
-		mask = uint16(gtMask32(lo, s.sc) | gtMask32(hi, s.sc)<<8)
+		return s.GtMaskEq32(b)
 	default:
-		lo ^= sign64
-		hi ^= sign64
-		eq = lo == s.lo || hi == s.hi
-		if lo > s.lo {
-			mask = 0x00FF
-		}
-		if hi > s.hi {
-			mask |= 0xFF00
-		}
+		return s.GtMaskEq64(b)
 	}
-	return mask, eq
 }
 
 // EqMask is GtMask for lane equality, used by the §3.1 equality-check

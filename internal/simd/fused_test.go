@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// TestFusedGtMaskMatchesComposedSequence cross-checks the fused kernel
-// against the literal five-step sequence (Load, Set1, CmpGt, MoveMask) for
-// every lane width on random and clustered operands. The fused kernel
-// takes unsigned-order operands, the composed sequence signed lanes; the
-// test biases accordingly.
+// TestFusedGtMaskMatchesComposedSequence cross-checks the fused kernels
+// (GtMask, GtMaskEq and EqMask, hence every per-width kernel they
+// dispatch to) against the literal five-step sequence (Load, Set1, CmpGt,
+// MoveMask) for every lane width on random and clustered operands. The
+// fused kernels take unsigned-order operands, the composed sequence
+// signed lanes; the test biases accordingly.
 func TestFusedGtMaskMatchesComposedSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	signMask := map[int]uint64{1: sign8, 2: sign16, 4: sign32, 8: sign64}
@@ -49,6 +50,10 @@ func TestFusedGtMaskMatchesComposedSequence(t *testing.T) {
 			if gotEq != wantEq {
 				t.Fatalf("width %d: fused eq %#04x, composed %#04x (b=%x ordered=%#x)",
 					w, gotEq, wantEq, b, ordered)
+			}
+			if m, eq := s.GtMaskEq(b[:]); m != want || eq != (wantEq != 0) {
+				t.Fatalf("width %d: fused gt+eq (%#04x,%v), composed (%#04x,%v) (b=%x ordered=%#x)",
+					w, m, eq, want, wantEq != 0, b, ordered)
 			}
 		}
 	}

@@ -88,8 +88,10 @@ func NewWindowedHistogram(tick time.Duration, epochs int) *WindowedHistogram {
 }
 
 // WrapInstrumented wraps an existing index with instrumentation;
-// withCounters attaches dedicated cost-model Counters scoped to the
-// wrapper's operations.
+// withCounters attaches dedicated cost-model Counters to the wrapper's
+// operations. The hook destination is process-wide: the wrapper restores
+// Counters enabled before its operations, but when none were it leaves
+// its own installed (see internal/index.NewInstrumented).
 func WrapInstrumented[K Key, V any](ix Index[K, V], withCounters bool) *InstrumentedIndex[K, V] {
 	return index.NewInstrumented(ix, withCounters)
 }
