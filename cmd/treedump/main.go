@@ -78,7 +78,7 @@ func main() {
 	// The trace is recorded by the same kernel the search runs (the
 	// hand-rolled replay this command once carried could drift from it).
 	tr := trace.New("search", fmt.Sprint(*search))
-	pos := tree.SearchT(*search, bitmask.Popcount, tr)
+	pos := tree.SearchPT(*search, kary.Prepare(*search), bitmask.Popcount, tr)
 	tr.Finish(pos < tree.Len())
 	for _, s := range tr.Steps {
 		fmt.Printf("  %s\n", renderStep(s, *search))

@@ -13,7 +13,7 @@ import (
 // access, the first of its future-work directions (§7).
 
 // Index is the common interface of every index structure in this module —
-// SegTree, SegTrie, OptimizedSegTrie, BPlusTree and ShardedIndex all
+// SegTree, SegTrie (plain or optimized), BPlusTree and ShardedIndex all
 // satisfy it: point and batched lookups, mutation, ordered iteration and
 // a structure-independent statistics summary.
 type Index[K Key, V any] = index.Index[K, V]

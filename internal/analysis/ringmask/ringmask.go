@@ -522,7 +522,10 @@ func indexOK(pass *analysis.Pass, idx ast.Expr, r *ring, maskedLocals, rangeKeys
 	return false
 }
 
-// fieldObject resolves sel to the struct field it selects, or nil.
+// fieldObject resolves sel to the struct field it selects, or nil. On a
+// generic ring the selection yields the field of the instantiated type
+// (Ring[T] inside its methods), so it is mapped back to the declared
+// field.
 func fieldObject(info *types.Info, sel *ast.SelectorExpr) *types.Var {
 	s, ok := info.Selections[sel]
 	if !ok || s.Kind() != types.FieldVal {
@@ -532,7 +535,7 @@ func fieldObject(info *types.Info, sel *ast.SelectorExpr) *types.Var {
 	if !ok || !v.IsField() {
 		return nil
 	}
-	return v
+	return v.Origin()
 }
 
 // unwrapConv strips parens and type conversions (uint64(e)).

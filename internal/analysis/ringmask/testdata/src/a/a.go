@@ -72,3 +72,32 @@ func (r *ring) first() uint64 {
 func (r *ring) resize(n int) {
 	r.mask = uint64(n) // want `ring ring mask assigned a value not provably capacity-1`
 }
+
+// genRing is the generic form (trace.Ring[T]): instantiated field
+// selections must resolve to the same ring fields.
+type genRing[T any] struct {
+	slots []*T
+	mask  uint64
+	seq   atomic.Uint64
+}
+
+func newGenRing[T any](n int) *genRing[T] {
+	c := pow2.CeilCap(n, 1)
+	return &genRing[T]{slots: make([]*T, c), mask: uint64(c - 1)}
+}
+
+func newBadGenRing[T any](n int) *genRing[T] {
+	return &genRing[T]{
+		slots: make([]*T, n), // want `ring genRing slice assigned without a proven power-of-two capacity`
+		mask:  uint64(n - 1), // want `ring genRing mask assigned a value not provably capacity-1`
+	}
+}
+
+func (r *genRing[T]) add(x *T) {
+	i := r.seq.Add(1) - 1
+	r.slots[i] = x // want `index into ring genRing slice slots is not masked`
+}
+
+func (r *genRing[T]) resize(n int) {
+	r.mask = uint64(n) // want `ring genRing mask assigned a value not provably capacity-1`
+}

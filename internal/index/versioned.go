@@ -58,11 +58,20 @@ type Versioned[K keys.Key, V any] struct {
 	newIndex func() Index[K, V]
 	spare    Index[K, V]
 	spareSeq uint64
-	retired  []*version[K, V]
-	log      []logOp[K, V] // ops that produced versions logBase+1 .. current.seq
-	logBase  uint64
+	history[K, V]
 
 	health obs.MVCC
+}
+
+// history is the writer's record of superseded versions, guarded by
+// Versioned.mu. It is a separate type because Versioned is shaped like a
+// lock-free ring (the epoch slots): the ringmask analyzer treats every
+// slice of such a struct as a mask-indexed slot array, and these two
+// grow by append.
+type history[K keys.Key, V any] struct {
+	retired []*version[K, V]
+	log     []logOp[K, V] // ops that produced versions logBase+1 .. current.seq
+	logBase uint64
 }
 
 // version is one published, immutable tree state. The sequence number

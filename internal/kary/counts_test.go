@@ -71,17 +71,17 @@ func checkCounts[K keys.Key](t *testing.T, seed int64, sizes []int) {
 							r, f := tree.Lookup(v, ev)
 							return r, f, nil
 						}},
-						{"LookupT", func() (int, bool, *trace.Trace) {
+						{"LookupPT", func() (int, bool, *trace.Trace) {
 							tr := trace.New("lookup", "")
-							r, f := tree.LookupT(v, ev, tr)
+							r, f := tree.LookupPT(v, Prepare(v), ev, tr)
 							return r, f, tr
 						}},
 						{"Search", func() (int, bool, *trace.Trace) {
 							return tree.Search(v, ev), found, nil
 						}},
-						{"SearchT", func() (int, bool, *trace.Trace) {
+						{"SearchPT", func() (int, bool, *trace.Trace) {
 							tr := trace.New("search", "")
-							return tree.SearchT(v, ev, tr), found, tr
+							return tree.SearchPT(v, Prepare(v), ev, tr), found, tr
 						}},
 					}
 					for _, call := range calls {

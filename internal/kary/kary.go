@@ -88,7 +88,7 @@ type Tree[K keys.Key] struct {
 
 // Prepare broadcasts the search key v into a reusable SIMD search
 // register. A tree descent (Seg-Tree, Seg-Trie) prepares once and passes
-// the register to SearchP/LookupP at every node, hoisting the loop-
+// the register to SearchPT/LookupPT at every node, hoisting the loop-
 // invariant work out of the path — the same hoisting real SSE code does.
 func Prepare[K keys.Key](v K) simd.Search {
 	w := keys.Width[K]()

@@ -56,23 +56,12 @@ func (t *Tree[K]) Search(v K, ev bitmask.Evaluator) int {
 	return t.SearchPT(v, Prepare(v), ev, nil)
 }
 
-// SearchP is Search with a caller-prepared search register (see Prepare),
-// so one tree descent broadcasts the key only once.
-func (t *Tree[K]) SearchP(v K, search simd.Search, ev bitmask.Evaluator) int {
-	return t.SearchPT(v, search, ev, nil)
-}
-
-// SearchT is Search additionally recording every level's loaded lanes,
-// movemask and verdict into tr (nil records nothing). The traced and
-// untraced paths share one kernel, so a trace shows exactly what the
-// search executed.
-func (t *Tree[K]) SearchT(v K, ev bitmask.Evaluator, tr *trace.Trace) int {
-	return t.SearchPT(v, Prepare(v), ev, tr)
-}
-
-// SearchPT is SearchP with per-level trace recording into tr (nil records
-// nothing and costs one pointer comparison per level). It is LookupPT
-// without the membership bit: both run the same descent.
+// SearchPT is Search with a caller-prepared search register (see
+// Prepare), so one tree descent broadcasts the key only once, and with
+// per-level trace recording into tr: every level's loaded lanes, movemask
+// and verdict (nil records nothing and costs one pointer comparison per
+// level). It is LookupPT without the membership bit: both run the same
+// descent, so a trace shows exactly what the search executed.
 //
 //simdtree:hotpath
 func (t *Tree[K]) SearchPT(v K, search simd.Search, ev bitmask.Evaluator, tr *trace.Trace) int {
@@ -90,21 +79,11 @@ func (t *Tree[K]) Lookup(v K, ev bitmask.Evaluator) (rank int, found bool) {
 	return t.LookupPT(v, Prepare(v), ev, nil)
 }
 
-// LookupP is Lookup with a caller-prepared search register (see Prepare).
-func (t *Tree[K]) LookupP(v K, search simd.Search, ev bitmask.Evaluator) (rank int, found bool) {
-	return t.LookupPT(v, search, ev, nil)
-}
-
-// LookupT is Lookup with per-level trace recording into tr (nil records
-// nothing).
-func (t *Tree[K]) LookupT(v K, ev bitmask.Evaluator, tr *trace.Trace) (rank int, found bool) {
-	return t.LookupPT(v, Prepare(v), ev, tr)
-}
-
-// LookupPT is LookupP with per-level trace recording into tr (nil records
-// nothing and costs one pointer comparison per level). Every search entry
-// point ends here, and the node visit is counted once: one obs hook with
-// the levels descended and the SIMD compares actually run.
+// LookupPT is Lookup with a caller-prepared search register (see Prepare)
+// and per-level trace recording into tr (nil records nothing and costs one
+// pointer comparison per level). Every search entry point ends here, and
+// the node visit is counted once: one obs hook with the levels descended
+// and the SIMD compares actually run.
 //
 //simdtree:hotpath
 func (t *Tree[K]) LookupPT(v K, search simd.Search, ev bitmask.Evaluator, tr *trace.Trace) (rank int, found bool) {

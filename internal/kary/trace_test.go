@@ -10,7 +10,7 @@ import (
 )
 
 // TestTracedSearchMatchesUntraced pins that the traced kernels are the
-// untraced kernels: for both layouts and all evaluators, SearchT/LookupT
+// untraced kernels: for both layouts and all evaluators, SearchPT/LookupPT
 // with a live trace return exactly what Search/Lookup return, and the
 // recorded per-level evidence reproduces the result.
 func TestTracedSearchMatchesUntraced(t *testing.T) {
@@ -28,15 +28,15 @@ func TestTracedSearchMatchesUntraced(t *testing.T) {
 				name := fmt.Sprintf("n=%d/%v/%v", n, layout, ev)
 				for probe := uint32(0); probe < next+3; probe += 3 {
 					tr := trace.New("search", fmt.Sprint(probe))
-					if got, want := tree.SearchT(probe, ev, tr), tree.Search(probe, ev); got != want {
-						t.Fatalf("%s: SearchT(%d) = %d, Search = %d", name, probe, got, want)
+					if got, want := tree.SearchPT(probe, Prepare(probe), ev, tr), tree.Search(probe, ev); got != want {
+						t.Fatalf("%s: SearchPT(%d) = %d, Search = %d", name, probe, got, want)
 					}
 					verifySIMDSteps(t, tr, uint64(probe), name)
 					ltr := trace.New("lookup", fmt.Sprint(probe))
-					r1, f1 := tree.LookupT(probe, ev, ltr)
+					r1, f1 := tree.LookupPT(probe, Prepare(probe), ev, ltr)
 					r2, f2 := tree.Lookup(probe, ev)
 					if r1 != r2 || f1 != f2 {
-						t.Fatalf("%s: LookupT(%d) = (%d,%v), Lookup = (%d,%v)", name, probe, r1, f1, r2, f2)
+						t.Fatalf("%s: LookupPT(%d) = (%d,%v), Lookup = (%d,%v)", name, probe, r1, f1, r2, f2)
 					}
 					verifySIMDSteps(t, ltr, uint64(probe), name)
 				}

@@ -1,8 +1,9 @@
 // Package pow2 is the one blessed way the repo sizes its lock-free
-// rings. Every mask-indexed ring (trace.Ring, reqtrace.Ring, the
-// obs windowed epoch rings, the Versioned epoch-slot array) derives its
-// capacity from CeilCap and its index mask from that capacity, so
-// `i & (cap-1)` is a bounds proof by construction. The ringmask
+// rings. Every mask-indexed ring (the generic trace.Ring, which holds
+// both sampled traces and request spans, the obs windowed epoch rings,
+// the Versioned epoch-slot array) derives its capacity from CeilCap and
+// its index mask from that capacity, so `i & (cap-1)` is a bounds proof
+// by construction. The ringmask
 // analyzer (internal/analysis/ringmask) closes the loop statically: a
 // ring whose mask is not derived from CeilCap (or a power-of-two
 // constant) is a diagnostic, as is any ring indexing without the mask.

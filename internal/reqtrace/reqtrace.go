@@ -12,8 +12,8 @@
 //   - Every recording method is nil-safe: the unsampled path holds a nil
 //     *Span and pays a nil check, no allocation.
 //   - A Tracer samples 1-in-N root spans and retains finished spans in a
-//     lock-free bounded ring (the internal/trace.Ring pattern), drained
-//     into flight-recorder bundles and served at /debug/requests.
+//     lock-free bounded trace.Ring, drained into flight-recorder
+//     bundles and served at /debug/requests.
 //
 // The package is stdlib-only. It does not implement the full OpenTelemetry
 // model — no remote export, no links, single-parent spans — just enough to

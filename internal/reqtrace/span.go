@@ -30,9 +30,9 @@ type Event struct {
 // handler or driver client that started it) and every method is safe on
 // a nil receiver: unsampled paths hold a nil *Span and record nothing.
 //
-// A span is mutable only until Tracer.Finish rings it: Ring.Add stores
-// the pointer, concurrent /debug/requests readers load it lock-free,
-// and no write may follow. The publishguard analyzer checks that
+// A span is mutable only until Tracer.Finish rings it: trace.Ring.Add
+// stores the pointer, concurrent /debug/requests readers load it
+// lock-free, and no write may follow. The publishguard analyzer checks that
 // frozen-after-publish discipline inside this package.
 //
 //simdtree:published

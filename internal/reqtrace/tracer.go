@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // The sampling decision sits on the per-operation hot path of the
@@ -35,7 +37,7 @@ type Tracer struct {
 	// taking a lock or draining the entropy pool per span.
 	idState atomic.Uint64
 
-	ring *Ring
+	ring *trace.Ring[Span]
 }
 
 // DefaultRingCap retains enough recent spans to inspect a live workload
@@ -48,7 +50,7 @@ func NewTracer(every, ringCap int) *Tracer {
 	if ringCap <= 0 {
 		ringCap = DefaultRingCap
 	}
-	t := &Tracer{ring: NewRing(ringCap)}
+	t := &Tracer{ring: trace.NewRing[Span](ringCap)}
 	t.every.Store(int64(every))
 	var seed [8]byte
 	if _, err := crand.Read(seed[:]); err == nil {

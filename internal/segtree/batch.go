@@ -27,10 +27,10 @@ func (t *Tree[K, V]) GetBatch(ks []K) ([]V, []bool) {
 	return index.LevelWise[K, V](ks, t.root,
 		func(n *node[K, V]) bool { return n.leaf() },
 		func(n *node[K, V], i int) *node[K, V] {
-			return n.children[n.kt.SearchP(ks[i], searches[i], ev)]
+			return n.children[n.kt.SearchPT(ks[i], searches[i], ev, nil)]
 		},
 		func(n *node[K, V], i int) (v V, ok bool) {
-			if pos, found := n.kt.LookupP(ks[i], searches[i], ev); found {
+			if pos, found := n.kt.LookupPT(ks[i], searches[i], ev, nil); found {
 				return n.vals[pos-1], true
 			}
 			return v, false

@@ -32,9 +32,9 @@ func (t *Tree[K, V]) IterRange(lo, hi K) *Iterator[K, V] {
 	search := kary.Prepare(lo)
 	n := t.root
 	for !n.leaf() {
-		n = n.children[n.kt.SearchP(lo, search, ev)]
+		n = n.children[n.kt.SearchPT(lo, search, ev, nil)]
 	}
-	i, found := n.kt.LookupP(lo, search, ev)
+	i, found := n.kt.LookupPT(lo, search, ev, nil)
 	if found {
 		i--
 	}

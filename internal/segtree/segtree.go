@@ -145,9 +145,9 @@ func (t *Tree[K, V]) Get(key K) (v V, ok bool) {
 	search := kary.Prepare(key)
 	n := t.root
 	for !n.leaf() {
-		n = n.children[n.kt.SearchP(key, search, ev)]
+		n = n.children[n.kt.SearchPT(key, search, ev, nil)]
 	}
-	i, found := n.kt.LookupP(key, search, ev)
+	i, found := n.kt.LookupPT(key, search, ev, nil)
 	if found {
 		return n.vals[i-1], true
 	}
@@ -221,11 +221,11 @@ func (t *Tree[K, V]) Scan(lo, hi K, fn func(K, V) bool) {
 	search := kary.Prepare(lo)
 	n := t.root
 	for !n.leaf() {
-		n = n.children[n.kt.SearchP(lo, search, ev)]
+		n = n.children[n.kt.SearchPT(lo, search, ev, nil)]
 	}
 	// First index with key ≥ lo: the k-ary search yields the first index
 	// with key > lo; step back once if lo itself is present.
-	i, found := n.kt.LookupP(lo, search, ev)
+	i, found := n.kt.LookupPT(lo, search, ev, nil)
 	if found {
 		i--
 	}

@@ -12,12 +12,18 @@
 // single-key node is compared directly, and a completely full node indexes
 // its pointer array like a hash table.
 //
-// The optimized Seg-Trie (level omission / lazy expansion with stored
-// prefixes) lives in optimized.go.
+// One Trie type serves both of the paper's variants; the variant is fixed
+// by the constructor. New builds the plain Seg-Trie, which materializes
+// one node per level. NewOptimized builds the optimized Seg-Trie, which
+// omits every level that would hold a single partial key and stores its
+// segment as a prefix in the node below (lazy expansion). Every descent
+// walks the stored prefixes, which are always empty in the plain trie;
+// only Put (how a new key's path is built) and Delete (re-compressing a
+// node left with one child) differ between the variants.
 package segtrie
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/bitmask"
 	"repro/internal/kary"
@@ -44,25 +50,32 @@ func DefaultConfig() Config {
 // Trie is a Seg-Trie mapping distinct keys of integer type K to values of
 // type V. The number of levels is fixed at Width(K) — the paper's
 // invariant-height property. The zero value is not usable; construct with
-// New.
+// New or NewOptimized.
 type Trie[K keys.Key, V any] struct {
-	cfg    Config
-	root   *node[V]
-	size   int
+	cfg  Config
+	root *node[V] // the plain trie keeps an empty root; the optimized one is nil when empty
+	size int
+	// levels is the nominal height r = m/8; the optimized trie's stored
+	// structure may be much shallower.
 	levels int
+	// optimized selects level omission (§4, last paragraphs).
+	optimized bool
 }
 
-// node holds up to 256 partial keys. An inner node has one child per
-// partial key; a last-level node has one value per partial key. Children
-// and values are kept in partial-key order, indexed by the position the
-// 17-ary search returns.
+// node discriminates one trie level after matching its stored prefix.
+// An inner node has one child per partial key; a last-level node has one
+// value per partial key. Children and values are kept in partial-key
+// order, indexed by the position the 17-ary search returns. In the
+// optimized trie an inner node holds ≥ 2 partial keys (otherwise it would
+// be compressed away).
 type node[V any] struct {
+	prefix   []uint8 // segments of the omitted levels above this node's level
 	kt       kary.Tree[uint8]
 	children []*node[V]
 	vals     []V
 }
 
-// New returns an empty trie.
+// New returns an empty plain Seg-Trie: one node per level.
 func New[K keys.Key, V any](cfg Config) *Trie[K, V] {
 	return &Trie[K, V]{
 		cfg:    cfg,
@@ -71,20 +84,46 @@ func New[K keys.Key, V any](cfg Config) *Trie[K, V] {
 	}
 }
 
-// NewDefault returns an empty trie with DefaultConfig.
+// NewDefault returns an empty plain trie with DefaultConfig.
 func NewDefault[K keys.Key, V any]() *Trie[K, V] {
 	return New[K, V](DefaultConfig())
+}
+
+// NewOptimized returns an empty optimized Seg-Trie (§4, last paragraphs):
+// tree levels that would hold only one partial key are omitted, following
+// the expanding-tries idea of Boehm et al. and the lazy expansion of Leis
+// et al. The omitted segments are stored as a prefix inside the node
+// below them, so a lookup compares a whole run of omitted levels with
+// plain byte comparisons and performs the 17-ary SIMD search only on
+// levels that actually distinguish keys. For the paper's favourite
+// workload — consecutive tuple IDs — this collapses a 64-bit trie to one
+// or two levels and yields the constant ≈14× speedup of Figure 11.
+func NewOptimized[K keys.Key, V any](cfg Config) *Trie[K, V] {
+	return &Trie[K, V]{cfg: cfg, levels: keys.Width[K](), optimized: true}
+}
+
+// NewOptimizedDefault returns an empty optimized trie with DefaultConfig.
+func NewOptimizedDefault[K keys.Key, V any]() *Trie[K, V] {
+	return NewOptimized[K, V](DefaultConfig())
 }
 
 // Len reports the number of stored keys.
 func (t *Trie[K, V]) Len() int { return t.size }
 
-// Levels reports the fixed trie height r = m/L (§4: invariant, independent
-// of the number of stored keys).
+// Levels reports the nominal trie height r = m/L (§4: invariant,
+// independent of the number of stored keys).
 func (t *Trie[K, V]) Levels() int { return t.levels }
 
 // Config returns the trie's configuration.
 func (t *Trie[K, V]) Config() Config { return t.cfg }
+
+// name is the variant's structure name in traces and shape reports.
+func (t *Trie[K, V]) name() string {
+	if t.optimized {
+		return "opt-segtrie"
+	}
+	return "segtrie"
+}
 
 // The untraced Get descent is a zero-allocation hot path; the directive keeps the
 // //simdtree:hotpath annotations checked by cmd/simdvet.
@@ -106,8 +145,9 @@ func (t *Trie[K, V]) segment(u uint64, level int) uint8 {
 //
 //simdtree:hotpath
 func (t *Trie[K, V]) find(n *node[V], pk uint8, tr *trace.Trace) (idx int, ok bool) {
-	// The general path's node visit is counted inside kt.Lookup; the fast
-	// paths below bypass the k-ary search, so they record the visit here.
+	// The general path's node visit is counted inside kt.LookupPT; the
+	// fast paths below bypass the k-ary search, so they record the visit
+	// here.
 	switch n.kt.Len() {
 	case 0:
 		obs.NodeVisits(1)
@@ -141,7 +181,7 @@ func (t *Trie[K, V]) find(n *node[V], pk uint8, tr *trace.Trace) (idx int, ok bo
 		}
 		return int(pk), true
 	}
-	pos, found := n.kt.LookupT(pk, t.cfg.Evaluator, tr)
+	pos, found := n.kt.LookupPT(pk, kary.Prepare(pk), t.cfg.Evaluator, tr)
 	if found {
 		return pos - 1, true
 	}
@@ -149,14 +189,24 @@ func (t *Trie[K, V]) find(n *node[V], pk uint8, tr *trace.Trace) (idx int, ok bo
 }
 
 // Get returns the value stored under key, if present. A missing partial
-// key terminates the search above leaf level — the trie's comparison-
-// saving advantage over tree structures (§4).
+// key or a mismatching stored prefix terminates the search above leaf
+// level — the trie's comparison-saving advantage over tree structures
+// (§4).
 //
 //simdtree:hotpath
 func (t *Trie[K, V]) Get(key K) (v V, ok bool) {
-	u := keys.OrderedBits(key)
 	n := t.root
+	if n == nil {
+		return v, false
+	}
+	u := keys.OrderedBits(key)
 	for level := 0; ; level++ {
+		for _, p := range n.prefix {
+			if t.segment(u, level) != p {
+				return v, false
+			}
+			level++
+		}
 		idx, hit := t.find(n, t.segment(u, level), nil)
 		if !hit {
 			return v, false
@@ -168,19 +218,36 @@ func (t *Trie[K, V]) Get(key K) (v V, ok bool) {
 	}
 }
 
-// GetTraced is Get additionally recording the descent into tr: per trie
-// level the extracted segment byte, the node entered, the fast path taken
+// GetTraced is Get additionally recording the descent into tr: the
+// stored-prefix byte comparisons of each node (lazy expansion, §4), the
+// segment byte and node of every materialized level, the fast path taken
 // or the two SIMD compares of its 17-ary search, and the branch followed.
 // A nil tr makes it exactly Get — the kernels are shared.
 func (t *Trie[K, V]) GetTraced(key K, tr *trace.Trace) (v V, ok bool) {
 	if tr == nil {
 		return t.Get(key)
 	}
-	tr.SetStructure("segtrie")
+	tr.SetStructure(t.name())
+	n := t.root
+	if n == nil {
+		tr.FastPath("empty-trie", 0)
+		return v, false
+	}
 	layout := t.cfg.Layout.String()
 	u := keys.OrderedBits(key)
-	n := t.root
 	for level := 0; ; level++ {
+		matched := 0
+		for _, p := range n.prefix {
+			if t.segment(u, level) != p {
+				tr.PrefixSkip(level-matched, matched, false)
+				return v, false
+			}
+			matched++
+			level++
+		}
+		if matched > 0 {
+			tr.PrefixSkip(level-matched, matched, true)
+		}
 		pk := t.segment(u, level)
 		tr.Segment(level, pk)
 		tr.Node(level, n.kt.Len(), layout, "trie")
@@ -202,279 +269,147 @@ func (t *Trie[K, V]) Contains(key K) bool {
 	return ok
 }
 
+// path builds the nodes holding key u from level down to its value. The
+// optimized trie stores every level above the last as the prefix of one
+// value node (lazy expansion); the plain trie builds one single-key node
+// per level.
+func (t *Trie[K, V]) path(u uint64, level int, val V) *node[V] {
+	last := t.levels - 1
+	n := &node[V]{kt: t.single(t.segment(u, last)), vals: []V{val}}
+	if t.optimized {
+		n.prefix = make([]uint8, last-level)
+		for i := range n.prefix {
+			n.prefix[i] = t.segment(u, level+i)
+		}
+		return n
+	}
+	for l := last - 1; l >= level; l-- {
+		n = &node[V]{kt: t.single(t.segment(u, l)), children: []*node[V]{n}}
+	}
+	return n
+}
+
+// single returns the 17-ary tree of a node holding one partial key.
+func (t *Trie[K, V]) single(pk uint8) kary.Tree[uint8] {
+	return *kary.BuildUnchecked([]uint8{pk}, t.cfg.Layout)
+}
+
 // Put stores val under key, returning true when the key was newly inserted
-// and false when an existing value was replaced.
+// and false when an existing value was replaced. A key diverging inside a
+// stored prefix splits the node: a new two-way parent takes the prefix
+// above the divergence.
 func (t *Trie[K, V]) Put(key K, val V) bool {
 	u := keys.OrderedBits(key)
-	n := t.root
+	if t.root == nil {
+		t.root = t.path(u, 0, val)
+		t.size = 1
+		return true
+	}
+	link := &t.root // the parent's pointer to n
 	for level := 0; ; level++ {
+		n := *link
+		for d, old := range n.prefix {
+			pk := t.segment(u, level)
+			if pk == old {
+				level++
+				continue
+			}
+			split := &node[V]{prefix: slices.Clone(n.prefix[:d])}
+			n.prefix = slices.Clone(n.prefix[d+1:])
+			fresh := t.path(u, level+1, val)
+			if pk < old {
+				split.kt = *kary.BuildUnchecked([]uint8{pk, old}, t.cfg.Layout)
+				split.children = []*node[V]{fresh, n}
+			} else {
+				split.kt = *kary.BuildUnchecked([]uint8{old, pk}, t.cfg.Layout)
+				split.children = []*node[V]{n, fresh}
+			}
+			*link = split
+			t.size++
+			return true
+		}
 		pk := t.segment(u, level)
 		idx, hit := t.find(n, pk, nil)
 		last := level == t.levels-1
+		if hit && last {
+			n.vals[idx] = val
+			return false
+		}
 		if hit {
-			if last {
-				n.vals[idx] = val
-				return false
-			}
-			n = n.children[idx]
+			link = &n.children[idx]
 			continue
 		}
 		n.kt.Insert(pk)
 		if last {
-			n.vals = append(n.vals, val)
-			copy(n.vals[idx+1:], n.vals[idx:])
-			n.vals[idx] = val
-			t.size++
-			return true
+			n.vals = slices.Insert(n.vals, idx, val)
+		} else {
+			n.children = slices.Insert(n.children, idx, t.path(u, level+1, val))
 		}
-		child := &node[V]{kt: *kary.BuildUnchecked[uint8](nil, t.cfg.Layout)}
-		n.children = append(n.children, nil)
-		copy(n.children[idx+1:], n.children[idx:])
-		n.children[idx] = child
-		n = child
+		t.size++
+		return true
 	}
 }
 
 // Delete removes key, reporting whether it was present. Nodes emptied by
 // the removal are unlinked bottom-up (§4: "a node that becomes empty due
-// to deleting all partial keys will be removed").
+// to deleting all partial keys will be removed"); the plain trie keeps
+// its root. In the optimized trie an inner node left with a single child
+// is compressed into that child (the inverse of lazy expansion), and the
+// emptied trie drops its root.
 func (t *Trie[K, V]) Delete(key K) bool {
+	if t.root == nil {
+		return false
+	}
 	u := keys.OrderedBits(key)
 	type step struct {
 		n   *node[V]
-		pk  uint8
 		idx int
 	}
-	path := make([]step, 0, t.levels)
+	var path []step
 	n := t.root
 	for level := 0; ; level++ {
-		pk := t.segment(u, level)
-		idx, hit := t.find(n, pk, nil)
+		for _, p := range n.prefix {
+			if t.segment(u, level) != p {
+				return false
+			}
+			level++
+		}
+		idx, hit := t.find(n, t.segment(u, level), nil)
 		if !hit {
 			return false
 		}
-		path = append(path, step{n, pk, idx})
+		path = append(path, step{n, idx})
 		if level == t.levels-1 {
 			break
 		}
 		n = n.children[idx]
 	}
-	// Remove the leaf entry, then unlink empty nodes upward.
-	leaf := path[len(path)-1]
-	leaf.n.kt.Delete(leaf.pk)
-	leaf.n.vals = append(leaf.n.vals[:leaf.idx], leaf.n.vals[leaf.idx+1:]...)
-	for i := len(path) - 2; i >= 0 && path[i+1].n.kt.Len() == 0; i-- {
-		p := path[i]
-		p.n.kt.Delete(p.pk)
-		p.n.children = append(p.n.children[:p.idx], p.n.children[p.idx+1:]...)
+	i := len(path) - 1
+	leaf := path[i]
+	leaf.n.kt.Delete(leaf.n.kt.At(leaf.idx))
+	leaf.n.vals = slices.Delete(leaf.n.vals, leaf.idx, leaf.idx+1)
+	for ; i > 0 && path[i].n.kt.Len() == 0; i-- {
+		p := path[i-1]
+		p.n.kt.Delete(p.n.kt.At(p.idx))
+		p.n.children = slices.Delete(p.n.children, p.idx, p.idx+1)
 	}
 	t.size--
-	return true
-}
-
-// Min returns the smallest key and its value; ok is false when empty.
-func (t *Trie[K, V]) Min() (k K, v V, ok bool) {
-	if t.size == 0 {
-		return k, v, false
+	if !t.optimized {
+		return true
 	}
-	var u uint64
-	n := t.root
-	for level := 0; ; level++ {
-		u = u<<8 | uint64(n.kt.At(0))
-		if level == t.levels-1 {
-			return keys.FromOrderedBits[K](u), n.vals[0], true
-		}
-		n = n.children[0]
-	}
-}
-
-// Max returns the largest key and its value; ok is false when empty.
-func (t *Trie[K, V]) Max() (k K, v V, ok bool) {
-	if t.size == 0 {
-		return k, v, false
-	}
-	var u uint64
-	n := t.root
-	for level := 0; ; level++ {
-		i := n.kt.Len() - 1
-		u = u<<8 | uint64(n.kt.At(i))
-		if level == t.levels-1 {
-			return keys.FromOrderedBits[K](u), n.vals[i], true
-		}
-		n = n.children[i]
-	}
-}
-
-// Ascend calls fn for every item in ascending key order until fn returns
-// false.
-func (t *Trie[K, V]) Ascend(fn func(K, V) bool) {
-	t.walk(t.root, 0, 0, func(u uint64, v V) bool {
-		return fn(keys.FromOrderedBits[K](u), v)
-	})
-}
-
-func (t *Trie[K, V]) walk(n *node[V], level int, prefix uint64, fn func(uint64, V) bool) bool {
-	for i, pk := range n.kt.Keys() {
-		u := prefix<<8 | uint64(pk)
-		if level == t.levels-1 {
-			if !fn(u, n.vals[i]) {
-				return false
-			}
-			continue
-		}
-		if !t.walk(n.children[i], level+1, u, fn) {
-			return false
+	// path[i] is the deepest node left non-empty, or the emptied root.
+	switch p := path[i].n; {
+	case p.kt.Len() == 0:
+		t.root = nil
+	case i < len(path)-1 && p.kt.Len() == 1:
+		child := p.children[0]
+		child.prefix = slices.Concat(p.prefix, []uint8{p.kt.At(0)}, child.prefix)
+		if i == 0 {
+			t.root = child
+		} else {
+			g := path[i-1]
+			g.n.children[g.idx] = child
 		}
 	}
 	return true
-}
-
-// Scan calls fn for every item with lo ≤ key ≤ hi in ascending key order
-// until fn returns false, pruning subtrees outside the range.
-func (t *Trie[K, V]) Scan(lo, hi K, fn func(K, V) bool) {
-	if lo > hi || t.size == 0 {
-		return
-	}
-	t.scan(t.root, 0, 0, keys.OrderedBits(lo), keys.OrderedBits(hi), fn)
-}
-
-func (t *Trie[K, V]) scan(n *node[V], level int, prefix, lo, hi uint64, fn func(K, V) bool) bool {
-	rem := uint(8 * (t.levels - 1 - level))
-	for i, pk := range n.kt.Keys() {
-		u := prefix<<8 | uint64(pk)
-		// The subtree below u covers [u<<rem, (u<<rem)|maxFill].
-		min := u << rem
-		max := min | (uint64(1)<<rem - 1)
-		if max < lo {
-			continue
-		}
-		if min > hi {
-			return true
-		}
-		if level == t.levels-1 {
-			if !fn(keys.FromOrderedBits[K](u), n.vals[i]) {
-				return false
-			}
-			continue
-		}
-		if !t.scan(n.children[i], level+1, u, lo, hi, fn) {
-			return false
-		}
-	}
-	return true
-}
-
-// Stats summarizes the trie's shape and memory footprint.
-type Stats struct {
-	Nodes          int
-	NodesPerLevel  []int
-	Keys           int
-	StoredKeySlots int
-	// FilledLevels counts the levels below the longest common prefix of
-	// all stored keys — the "depth of the tree" of the paper's Figure 11.
-	FilledLevels int
-	// MemoryBytes follows the paper's accounting: stored partial-key
-	// slots cost one byte each, child and value pointers eight bytes.
-	MemoryBytes int64
-	// KeyMemoryBytes counts partial-key storage only (one byte per stored
-	// slot) — the basis of the paper's 8× memory-reduction claim.
-	KeyMemoryBytes int64
-}
-
-// Stats computes shape and memory statistics by walking the trie.
-func (t *Trie[K, V]) Stats() Stats {
-	s := Stats{NodesPerLevel: make([]int, t.levels)}
-	var walk func(n *node[V], level int)
-	walk = func(n *node[V], level int) {
-		s.Nodes++
-		s.NodesPerLevel[level]++
-		s.StoredKeySlots += n.kt.Stored()
-		s.MemoryBytes += int64(n.kt.MemoryBytes())
-		s.KeyMemoryBytes += int64(n.kt.MemoryBytes())
-		if level == t.levels-1 {
-			s.Keys += n.kt.Len()
-			s.MemoryBytes += int64(len(n.vals)) * 8
-			return
-		}
-		s.MemoryBytes += int64(len(n.children)) * 8
-		for _, c := range n.children {
-			walk(c, level+1)
-		}
-	}
-	walk(t.root, 0)
-	for level := 0; level < t.levels; level++ {
-		onlyChain := s.NodesPerLevel[level] == 1
-		if onlyChain {
-			// A level with a single node holding a single key is part of
-			// the common prefix, not a filled level.
-			n := t.nodeAtLevel(level)
-			if n != nil && n.kt.Len() == 1 && level != t.levels-1 {
-				continue
-			}
-		}
-		s.FilledLevels = t.levels - level
-		break
-	}
-	if t.size == 0 {
-		s.FilledLevels = 0
-	}
-	return s
-}
-
-// nodeAtLevel returns the single node at the given level when the levels
-// above form a single-key chain, else nil.
-func (t *Trie[K, V]) nodeAtLevel(level int) *node[V] {
-	n := t.root
-	for l := 0; l < level; l++ {
-		if n.kt.Len() != 1 {
-			return nil
-		}
-		n = n.children[0]
-	}
-	return n
-}
-
-// Validate checks the structural invariants: per-node kary invariants,
-// children/values parallel to the partial keys, and a size counter that
-// matches the stored keys.
-func (t *Trie[K, V]) Validate() error {
-	count := 0
-	var walk func(n *node[V], level int) error
-	walk = func(n *node[V], level int) error {
-		if err := n.kt.Validate(); err != nil {
-			return fmt.Errorf("segtrie: level %d: %w", level, err)
-		}
-		if n != t.root && n.kt.Len() == 0 {
-			return fmt.Errorf("segtrie: empty non-root node at level %d", level)
-		}
-		if level == t.levels-1 {
-			if len(n.vals) != n.kt.Len() {
-				return fmt.Errorf("segtrie: level %d: %d keys but %d values", level, n.kt.Len(), len(n.vals))
-			}
-			if n.children != nil {
-				return fmt.Errorf("segtrie: last-level node with children")
-			}
-			count += n.kt.Len()
-			return nil
-		}
-		if len(n.children) != n.kt.Len() {
-			return fmt.Errorf("segtrie: level %d: %d keys but %d children", level, n.kt.Len(), len(n.children))
-		}
-		if n.vals != nil {
-			return fmt.Errorf("segtrie: inner node with values at level %d", level)
-		}
-		for _, c := range n.children {
-			if err := walk(c, level+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(t.root, 0); err != nil {
-		return err
-	}
-	if count != t.size {
-		return fmt.Errorf("segtrie: size %d but %d keys present", t.size, count)
-	}
-	return nil
 }

@@ -60,8 +60,8 @@ func TestOptimizedValidateCatchesUncompressedChain(t *testing.T) {
 	}
 	// An inner node with a single key must have been compressed away;
 	// fabricate one.
-	bad := &onode[int]{kt: *kary.BuildUnchecked([]uint8{1}, opt.cfg.Layout)}
-	bad.children = []*onode[int]{opt.root.children[0]}
+	bad := &node[int]{kt: *kary.BuildUnchecked([]uint8{1}, opt.cfg.Layout)}
+	bad.children = []*node[int]{opt.root.children[0]}
 	bad.prefix = nil
 	opt.root.children[0] = bad
 	if err := opt.Validate(); err == nil {

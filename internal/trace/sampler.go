@@ -24,8 +24,8 @@ type Sampler struct {
 	sampled atomic.Uint64
 	slow    atomic.Uint64
 
-	ring     *Ring
-	slowRing *Ring
+	ring     *Ring[Trace]
+	slowRing *Ring[Trace]
 }
 
 // Default ring capacities: enough recent traces to inspect a live
@@ -39,7 +39,7 @@ const (
 // disables) and flagging sampled operations at or above slowThreshold
 // (0 disables the slow log).
 func NewSampler(every int, slowThreshold time.Duration) *Sampler {
-	s := &Sampler{ring: NewRing(defaultRingCap), slowRing: NewRing(defaultSlowRingCap)}
+	s := &Sampler{ring: NewRing[Trace](defaultRingCap), slowRing: NewRing[Trace](defaultSlowRingCap)}
 	s.SetRate(every)
 	s.SetSlowThreshold(slowThreshold)
 	return s

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	simdtree "repro"
+	"repro/internal/segtree"
 )
 
 // countGet runs one Get through fresh counters and returns the snapshot.
@@ -148,7 +149,7 @@ func TestOptionsAPI(t *testing.T) {
 	}
 	// Zero-option calls keep the old defaults (compat with pre-options
 	// callers).
-	if got, want := simdtree.NewSegTree[uint32, int]().Config(), simdtree.DefaultSegTreeConfig[uint32](); got != want {
+	if got, want := simdtree.NewSegTree[uint32, int]().Config(), segtree.DefaultConfig[uint32](); got != want {
 		t.Errorf("zero-option NewSegTree config %+v, want default %+v", got, want)
 	}
 	trie := simdtree.NewSegTrie[uint32, int](simdtree.WithLayout(simdtree.DepthFirst))

@@ -108,13 +108,13 @@ func (o *options) reject(constructor string) {
 }
 
 // WithLayout selects the k-ary linearization (BreadthFirst or DepthFirst)
-// of SegTree, SegTrie, OptimizedSegTrie and NewIndex nodes.
+// of SegTree, SegTrie (either variant) and NewIndex nodes.
 func WithLayout(l Layout) Option {
 	return func(o *options) { o.layout = l; o.layoutSet = true }
 }
 
 // WithEvaluator selects the bitmask-evaluation algorithm of SegTree,
-// SegTrie, OptimizedSegTrie and NewIndex nodes.
+// SegTrie (either variant) and NewIndex nodes.
 func WithEvaluator(e Evaluator) Option {
 	return func(o *options) { o.evaluator = e; o.evaluatorSet = true }
 }

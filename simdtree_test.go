@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	simdtree "repro"
+	"repro/internal/btree"
+	"repro/internal/segtree"
+	"repro/internal/segtrie"
 )
 
 func TestFacadeSegTree(t *testing.T) {
@@ -17,13 +20,18 @@ func TestFacadeSegTree(t *testing.T) {
 	if _, ok := tr.Get(43); ok {
 		t.Fatal("phantom")
 	}
-	cfg := simdtree.DefaultSegTreeConfig[uint32]()
+	cfg := segtree.DefaultConfig[uint32]()
 	if cfg.LeafCap != 338 {
 		t.Fatalf("default config leaf cap %d", cfg.LeafCap)
 	}
 	cfg.Layout = simdtree.BreadthFirst
 	cfg.Evaluator = simdtree.SwitchCase
-	tr2 := simdtree.NewSegTreeWithConfig[uint32, string](cfg)
+	// The options form builds the same tree as the config form.
+	tr2 := simdtree.NewSegTree[uint32, string](
+		simdtree.WithLayout(simdtree.BreadthFirst), simdtree.WithEvaluator(simdtree.SwitchCase))
+	if got, want := tr2.Config(), segtree.New[uint32, string](cfg).Config(); got != want {
+		t.Fatalf("options config %+v, want %+v", got, want)
+	}
 	tr2.Put(7, "seven")
 	if v, ok := tr2.Get(7); !ok || v != "seven" {
 		t.Fatal("custom config get")
@@ -40,14 +48,14 @@ func TestFacadeBulkLoadAndScan(t *testing.T) {
 	seg := simdtree.BulkLoadSegTree(ks, vs)
 	base := simdtree.BulkLoadBPlusTree(ks, vs,
 		simdtree.WithLeafCap(64), simdtree.WithBranchCap(64))
-	// The deprecated config-struct forms build the same trees.
-	seg2 := simdtree.BulkLoadSegTreeWithConfig(simdtree.DefaultSegTreeConfig[uint64](), ks, vs)
-	if seg2.Len() != seg.Len() {
-		t.Fatalf("WithConfig bulk load diverged: %d != %d", seg2.Len(), seg.Len())
+	// The options forms build the same trees as the config forms.
+	seg2 := segtree.BulkLoad(segtree.DefaultConfig[uint64](), ks, vs)
+	if seg2.Len() != seg.Len() || seg2.Config() != seg.Config() {
+		t.Fatalf("config bulk load diverged: %d != %d", seg2.Len(), seg.Len())
 	}
-	base2 := simdtree.BulkLoadBPlusTreeWithConfig(simdtree.BPlusTreeConfig{LeafCap: 64, BranchCap: 64}, ks, vs)
-	if base2.Len() != base.Len() {
-		t.Fatalf("WithConfig B+ bulk load diverged: %d != %d", base2.Len(), base.Len())
+	base2 := btree.BulkLoad(btree.Config{LeafCap: 64, BranchCap: 64}, ks, vs)
+	if base2.Len() != base.Len() || base2.Config() != base.Config() {
+		t.Fatalf("config B+ bulk load diverged: %d != %d", base2.Len(), base.Len())
 	}
 	count := 0
 	seg.Scan(100, 200, func(k uint64, v int) bool { count++; return true })
@@ -78,12 +86,19 @@ func TestFacadeTries(t *testing.T) {
 		t.Fatal("trie levels")
 	}
 	cfg := simdtree.SegTrieConfig{Layout: simdtree.DepthFirst, Evaluator: simdtree.BitShift}
-	tr2 := simdtree.NewSegTrieWithConfig[uint32, int](cfg)
+	opts := []simdtree.Option{simdtree.WithLayout(simdtree.DepthFirst), simdtree.WithEvaluator(simdtree.BitShift)}
+	tr2 := simdtree.NewSegTrie[uint32, int](opts...)
+	if got, want := tr2.Config(), segtrie.New[uint32, int](cfg).Config(); got != want {
+		t.Fatalf("trie options config %+v, want %+v", got, want)
+	}
 	tr2.Put(5, 5)
 	if !tr2.Contains(5) {
 		t.Fatal("custom trie")
 	}
-	opt2 := simdtree.NewOptimizedSegTrieWithConfig[uint32, int](cfg)
+	opt2 := simdtree.NewOptimizedSegTrie[uint32, int](opts...)
+	if got, want := opt2.Config(), segtrie.NewOptimized[uint32, int](cfg).Config(); got != want {
+		t.Fatalf("optimized trie options config %+v, want %+v", got, want)
+	}
 	opt2.Put(5, 5)
 	if !opt2.Contains(5) {
 		t.Fatal("custom optimized trie")
